@@ -8,12 +8,22 @@ marginal covariances and adjacent cross-covariances come out of a
 block-Thomas forward elimination / backward substitution in O(T d^3),
 never materialising the (T d) x (T d) system.
 
+`smooth_core` runs that recursion in one of two ways, chosen from the
+input alone.  Batched chains, and single chains with d > 2, step through
+T with numpy, each step one vectorised operation over every chain.  A
+single chain (no batch axis) with d <= 2 goes through `_smooth_single_d1`
+or `_smooth_single_d2`, the same recursion written out on Python floats:
+for one tiny block per step the numpy call overhead, not the arithmetic,
+is the cost, and the network Gauss-Seidel schedule smooths exactly one
+chain per call.
+
 All covariance outputs are explicitly symmetrised; the backward pass keeps
 cross-covariances consistent with the marginals so that expected squared
 transitions are exact.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +31,9 @@ import numpy as np
 
 class DegeneratePosteriorError(ValueError):
     """Total chain precision is singular at some time block."""
+
+
+_NOT_PD = "chain total precision is not positive definite"
 
 
 def _sym(a: np.ndarray) -> np.ndarray:
@@ -115,9 +128,7 @@ def _chol_inverse(mats: np.ndarray) -> np.ndarray:
     if d == 1:
         a = mats[..., 0, 0]
         if not np.all(np.isfinite(a)) or np.any(a <= 0):
-            raise DegeneratePosteriorError(
-                "chain total precision is not positive definite"
-            )
+            raise DegeneratePosteriorError(_NOT_PD)
         return (1.0 / a)[..., None, None]
     if d == 2:
         a = mats[..., 0, 0]
@@ -129,9 +140,7 @@ def _chol_inverse(mats: np.ndarray) -> np.ndarray:
             or np.any(a <= 0)
             or np.any(det <= 0)
         ):
-            raise DegeneratePosteriorError(
-                "chain total precision is not positive definite"
-            )
+            raise DegeneratePosteriorError(_NOT_PD)
         out = np.empty_like(mats, dtype=float)
         inv_det = 1.0 / det
         out[..., 0, 0] = c * inv_det
@@ -142,11 +151,154 @@ def _chol_inverse(mats: np.ndarray) -> np.ndarray:
     try:
         chol = np.linalg.cholesky(_sym(mats))
     except np.linalg.LinAlgError as exc:
-        raise DegeneratePosteriorError(
-            "chain total precision is not positive definite"
-        ) from exc
+        raise DegeneratePosteriorError(_NOT_PD) from exc
     linv = np.linalg.inv(chol)
     return _sym(np.swapaxes(linv, -1, -2) @ linv)
+
+
+def _diag_shifts(rho0: float, rho: list[float]) -> list[float]:
+    """Prior contribution to each diagonal block (rho0 at t = 0, plus
+    rho_{t-1} and rho_t where they exist), summed in the order of the
+    batched loop in `smooth_core`."""
+    if not rho:
+        return [rho0]
+    middle = [a + b for a, b in zip(rho[:-1], rho[1:])]
+    return [rho0 + rho[0], *middle, rho[-1]]
+
+
+def _smooth_single_d1(
+    rho0: float, rho: list[float], precision: np.ndarray, shift: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`smooth_core` for one chain with d = 1, on Python floats."""
+    T = precision.shape[0]
+    sites = precision.reshape(T).tolist()
+    shifts = shift.reshape(T).tolist()
+    diag = _diag_shifts(rho0, rho)
+    invs = []
+    bhats = []
+    inv = bhat = 0.0
+    for t in range(T):
+        a = sites[t] + diag[t]
+        if t:
+            r = rho[t - 1]
+            a = a - r * r * inv
+            bhat = shifts[t] + r * (inv * bhat)
+        else:
+            bhat = shifts[0]
+        if not 0.0 < a < math.inf:
+            raise DegeneratePosteriorError(_NOT_PD)
+        inv = 1.0 / a
+        invs.append(inv)
+        bhats.append(bhat)
+    m = inv * bhat
+    c = inv
+    mean = [m]
+    cov = [c]
+    cross = []
+    for t in range(T - 2, -1, -1):
+        inv = invs[t]
+        g = rho[t] * inv
+        m = inv * bhats[t] + g * m
+        x = g * c
+        c = inv + x * g
+        mean.append(m)
+        cov.append(c)
+        cross.append(x)
+    mean.reverse()
+    cov.reverse()
+    cross.reverse()
+    return (
+        np.array(mean).reshape(T, 1),
+        np.array(cov).reshape(T, 1, 1),
+        np.array(cross, dtype=float).reshape(T - 1, 1, 1),
+    )
+
+
+def _smooth_single_d2(
+    rho0: float, rho: list[float], precision: np.ndarray, shift: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`smooth_core` for one chain with d = 2, on Python floats.
+
+    Every block is kept as its entries; the inverse is the closed form of
+    `_chol_inverse` with the same checks, and covariances are symmetrised
+    as `_sym` does.
+    """
+    T = precision.shape[0]
+    sites = precision.reshape(T, 4).tolist()
+    shifts = shift.tolist()
+    diag = _diag_shifts(rho0, rho)
+    invs = []
+    bhats = []
+    i00 = i01 = i11 = b0 = b1 = 0.0
+    for t in range(T):
+        p00, p01, p10, p11 = sites[t]
+        h0, h1 = shifts[t]
+        a = p00 + diag[t]
+        c = p11 + diag[t]
+        if t:
+            # Schur complement D_t - r^2 inv(Dhat_{t-1}); the inverse is
+            # symmetric, so both off-diagonal entries lose r^2 i01.
+            r = rho[t - 1]
+            r2 = r * r
+            a = a - r2 * i00
+            c = c - r2 * i11
+            b = 0.5 * ((p01 - r2 * i01) + (p10 - r2 * i01))
+            b0, b1 = (
+                h0 + r * (i00 * b0 + i01 * b1),
+                h1 + r * (i01 * b0 + i11 * b1),
+            )
+        else:
+            b = 0.5 * (p01 + p10)
+            b0, b1 = h0, h1
+        det = a * c - b * b
+        if not (0.0 < a < math.inf and 0.0 < det < math.inf):
+            raise DegeneratePosteriorError(_NOT_PD)
+        inv_det = 1.0 / det
+        i00 = c * inv_det
+        i01 = -b * inv_det
+        i11 = a * inv_det
+        invs.append((i00, i01, i11))
+        bhats.append((b0, b1))
+
+    m0 = i00 * b0 + i01 * b1
+    m1 = i01 * b0 + i11 * b1
+    c00, c01, c11 = i00, i01, i11
+    mean = [(m0, m1)]
+    cov = [(c00, c01, c01, c11)]
+    cross = []
+    for t in range(T - 2, -1, -1):
+        i00, i01, i11 = invs[t]
+        b0, b1 = bhats[t]
+        r = rho[t]
+        g00 = r * i00
+        g01 = r * i01
+        g11 = r * i11
+        m0, m1 = (
+            (i00 * b0 + i01 * b1) + (g00 * m0 + g01 * m1),
+            (i01 * b0 + i11 * b1) + (g01 * m0 + g11 * m1),
+        )
+        # cross = gain @ cov_next; cov = sym(inv + cross @ gain'), gain
+        # symmetric.
+        x00 = g00 * c00 + g01 * c01
+        x01 = g00 * c01 + g01 * c11
+        x10 = g01 * c00 + g11 * c01
+        x11 = g01 * c01 + g11 * c11
+        c00 = i00 + (x00 * g00 + x01 * g01)
+        c01 = 0.5 * (
+            (i01 + (x00 * g01 + x01 * g11)) + (i01 + (x10 * g00 + x11 * g01))
+        )
+        c11 = i11 + (x10 * g01 + x11 * g11)
+        mean.append((m0, m1))
+        cov.append((c00, c01, c01, c11))
+        cross.append((x00, x01, x10, x11))
+    mean.reverse()
+    cov.reverse()
+    cross.reverse()
+    return (
+        np.array(mean).reshape(T, 2),
+        np.array(cov).reshape(T, 2, 2),
+        np.array(cross, dtype=float).reshape(T - 1, 2, 2),
+    )
 
 
 def smooth_core(
@@ -170,7 +322,11 @@ def smooth_core(
     cross[..., t, :, :] = Cov(theta_t, theta_{t+1}).
 
     The leading axes are independent chains; the T loop is shared so the
-    per-step linear algebra batches across all of them.
+    per-step linear algebra batches across all of them.  A single chain
+    (`precision` of shape (T, d, d)) with d <= 2 runs the same recursion in
+    `_smooth_single_d1` / `_smooth_single_d2` on Python floats instead,
+    with the same checks and the same DegeneratePosteriorError; it agrees
+    with the batched loop to rounding.
     """
     precision = np.asarray(precision, dtype=float)
     shift = np.asarray(shift, dtype=float)
@@ -178,6 +334,9 @@ def smooth_core(
     T, d = precision.shape[-3], precision.shape[-1]
     rho0 = np.broadcast_to(np.asarray(rho0, dtype=float), batch)
     rho = np.broadcast_to(np.asarray(rho, dtype=float), batch + (max(T - 1, 0),))
+    if not batch and d <= 2:
+        single = _smooth_single_d1 if d == 1 else _smooth_single_d2
+        return single(float(rho0), rho.tolist(), precision, shift)
 
     eye = np.eye(d)
     # Diagonal blocks of the joint precision: site + prior couplings.
@@ -269,6 +428,23 @@ def all_expected_transition_sq(
         + tr[..., :-1]
         + tr[..., 1:]
         - 2.0 * np.trace(cross, axis1=-2, axis2=-1)
+    )
+
+
+def chain_entropy(cov: np.ndarray, cross: np.ndarray) -> np.ndarray:
+    """Entropy of Gaussian chains from their marginals, via the Markov
+    factorisation H = H(theta_1) + sum_t H(theta_{t+1} | theta_t).
+
+    cov (..., T, d, d), cross (..., T-1, d, d) -> (...,).
+    """
+    T, d = cov.shape[-3], cov.shape[-1]
+    _, logdet1 = np.linalg.slogdet(cov[..., 0, :, :])
+    cond = cov[..., 1:, :, :] - np.swapaxes(cross, -1, -2) @ np.linalg.solve(
+        cov[..., :-1, :, :], cross
+    )
+    _, logdets = np.linalg.slogdet(_sym(cond))
+    return 0.5 * (logdet1 + np.sum(logdets, axis=-1)) + 0.5 * T * d * (
+        1.0 + np.log(2 * np.pi)
     )
 
 

@@ -17,12 +17,12 @@ power `alpha`; the prior does not.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import gammaln
 
-from .chain import all_expected_transition_sq, smooth_core
+from .chain import all_expected_transition_sq, chain_entropy, smooth_core
 from .likelihoods import (
     ModeMoments,
     NormalQ,
@@ -40,7 +40,6 @@ from .likelihoods import (
 from .metrics import auc, rmse
 from .scales import (
     InverseGammaQ,
-    SubjectScales,
     floored_precision,
     transition_precisions,
     update_eta,
@@ -104,18 +103,6 @@ class ModeState:
     tau_aux: InverseGammaQ  # arrays (n,)
     sigma0: InverseGammaQ  # arrays (n,)
 
-    def subject_scales(self, i: int) -> SubjectScales:
-        pick = lambda q, idx: InverseGammaQ(
-            np.asarray(q.shape)[idx], np.asarray(q.rate)[idx]
-        )
-        return SubjectScales(
-            lambda2=pick(self.lambda2, i),
-            eta=pick(self.eta, i),
-            tau2=pick(self.tau2, i),
-            tau_aux=pick(self.tau_aux, i),
-            sigma0=pick(self.sigma0, i),
-        )
-
 
 @dataclass
 class AuxState:
@@ -136,6 +123,11 @@ class FitResult:
     trace: list[float] = field(default_factory=list)
     converged: bool = False
     cycles: int = 0
+
+
+def _rows(q: InverseGammaQ, rows: int | slice) -> InverseGammaQ:
+    """The factors of the given subjects, from a factor array over subjects."""
+    return InverseGammaQ(np.asarray(q.shape)[rows], np.asarray(q.rate)[rows])
 
 
 def _second_from(mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
@@ -271,19 +263,23 @@ class CaviEngine:
     def _moments(self, m: int) -> ModeMoments:
         return ModeMoments(mean=self.modes[m].mean, second=self.second[m])
 
-    def _chain_rhos(self, m: int) -> tuple[np.ndarray, np.ndarray]:
+    def _chain_rhos(
+        self, m: int, rows: int | slice = slice(None)
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Initial and transition precisions of the given subjects' chains:
+        (n,) and (n, T-1) for a slice, () and (T-1,) for one subject."""
         st = self.modes[m]
-        rho0 = floored_precision(st.sigma0)
+        rho0 = floored_precision(_rows(st.sigma0, rows))
         if self.cfg.prior == "iglsm":
-            n = st.mean.shape[0]
             shared = floored_precision(self.aux.shared_trans)
-            rho = np.full((n, self.T - 1), shared)
+            rho = np.full(rho0.shape + (self.T - 1,), shared)
         else:
+            tau2 = _rows(st.tau2, rows)
             rho = transition_precisions(
-                st.lambda2,
+                _rows(st.lambda2, rows),
                 InverseGammaQ(
-                    np.asarray(st.tau2.shape)[:, None],
-                    np.asarray(st.tau2.rate)[:, None],
+                    np.asarray(tau2.shape)[..., None],
+                    np.asarray(tau2.rate)[..., None],
                 ),
             )
         return rho0, rho
@@ -351,18 +347,17 @@ class CaviEngine:
         cfg = self.cfg
         mean, cov, cross = st.mean[rows], st.cov[rows], st.cross[rows]
         e_trans = all_expected_transition_sq(mean, cov, cross)
-        sub = lambda q: InverseGammaQ(
-            np.asarray(q.shape)[rows], np.asarray(q.rate)[rows]
-        )
         if cfg.prior == "ffs":
-            eta_new = update_eta(sub(st.lambda2))
+            eta_new = update_eta(_rows(st.lambda2, rows))
             lam_new = update_lambda2(
                 eta_new,
                 e_trans,
-                np.asarray(sub(st.tau2).mean_inverse)[..., None],
+                np.asarray(_rows(st.tau2, rows).mean_inverse)[..., None],
                 cfg.d,
             )
-            tau_new, aux_new = update_tau2(lam_new, e_trans, cfg.d, sub(st.tau_aux))
+            tau_new, aux_new = update_tau2(
+                lam_new, e_trans, cfg.d, _rows(st.tau_aux, rows)
+            )
             for q, new in (
                 (st.eta, eta_new),
                 (st.lambda2, lam_new),
@@ -384,8 +379,8 @@ class CaviEngine:
         """One inner iteration for one subject: site build, chain smooth,
         scale updates.  Idempotent at a fixed point of the block."""
         P, h = self._site_for_subject(mode, subject)
-        rho0, rho = self._chain_rhos(mode)
-        mean, cov, cross = smooth_core(rho0[subject], rho[subject], P, h)
+        rho0, rho = self._chain_rhos(mode, subject)
+        mean, cov, cross = smooth_core(rho0, rho, P, h)
         self._store_chain_subject(mode, subject, mean, cov, cross)
         self._update_scales(mode, subject)
 
@@ -397,8 +392,8 @@ class CaviEngine:
                 # its site is built once per block.
                 P, h = self._site_for_subject(m, i)
                 for _ in range(self.cfg.inner_iters):
-                    rho0, rho = self._chain_rhos(m)
-                    mean, cov, cross = smooth_core(rho0[i], rho[i], P, h)
+                    rho0, rho = self._chain_rhos(m, i)
+                    mean, cov, cross = smooth_core(rho0, rho, P, h)
                     self._store_chain_subject(m, i, mean, cov, cross)
                     self._update_scales(m, i)
             return
@@ -542,7 +537,6 @@ class CaviEngine:
             total += float(sh.entropy)
         lg_half = gammaln(0.5)
         for st in self.modes:
-            n, T = st.mean.shape[:2]
             e_trans = all_expected_transition_sq(st.mean, st.cov, st.cross)
             e_norm1 = np.sum(st.mean[:, 0] ** 2, axis=-1) + np.trace(
                 st.cov[:, 0], axis1=-2, axis2=-1
@@ -595,16 +589,7 @@ class CaviEngine:
                 total += np.sum(-lg_half - 1.5 * x_log - x_inv)
                 for q in (st.lambda2, st.eta, st.tau2, st.tau_aux):
                     total += np.sum(np.asarray(q.entropy))
-            # Chain entropies via the Markov factorisation.
-            for i in range(n):
-                _, logdet1 = np.linalg.slogdet(st.cov[i, 0])
-                h = 0.5 * logdet1
-                for t in range(T - 1):
-                    c = st.cross[i, t]
-                    cond = st.cov[i, t + 1] - c.T @ np.linalg.solve(st.cov[i, t], c)
-                    _, ld = np.linalg.slogdet(0.5 * (cond + cond.T))
-                    h += 0.5 * ld
-                total += h + 0.5 * T * d * (1.0 + np.log(2 * np.pi))
+            total += float(np.sum(chain_entropy(st.cov, st.cross)))
         return float(total)
 
     # ----- main loop -------------------------------------------------------

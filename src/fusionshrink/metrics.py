@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import rankdata
 
 
 def rmse(est: np.ndarray, truth: np.ndarray, mask: np.ndarray | None = None) -> float:
@@ -35,6 +34,21 @@ def pcc(a: np.ndarray, b: np.ndarray) -> float:
     return float((xc * yc).sum() / denom)
 
 
+def _midranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of a 1-d array, tied values sharing the mean of their
+    ranks; all NaN if any entry is NaN."""
+    if np.isnan(x).any():
+        return np.full(x.shape, np.nan)
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    starts = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
+    ends = np.r_[starts[1:], xs.size]
+    ranks = np.empty(x.size)
+    # A tie group at sorted positions start..end-1 holds ranks start+1..end.
+    ranks[order] = np.repeat(0.5 * (starts + 1 + ends), ends - starts)
+    return ranks
+
+
 def auc(scores: np.ndarray, labels: np.ndarray) -> float:
     """Area under the ROC curve via the Mann-Whitney statistic (midranks)."""
     s = np.asarray(scores, dtype=float).ravel()
@@ -47,7 +61,7 @@ def auc(scores: np.ndarray, labels: np.ndarray) -> float:
     n_neg = int(np.sum(y == 0))
     if n_pos == 0 or n_neg == 0:
         raise ValueError("auc needs both classes present")
-    ranks = rankdata(s)
+    ranks = _midranks(s)
     return float((ranks[y == 1].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 

@@ -9,7 +9,6 @@ aligned factors with a deterministic seeded K-means.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 
 def solve_procrustes(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -148,6 +147,10 @@ def misclustering_loss(est: np.ndarray, truth: np.ndarray, k: int) -> int:
 
     Solved exactly as an assignment problem on the confusion matrix.
     """
+    # Imported here, its only use, so `import fusionshrink` does not pay for
+    # loading scipy.optimize.
+    from scipy.optimize import linear_sum_assignment
+
     est = np.asarray(est, dtype=int)
     truth = np.asarray(truth, dtype=int)
     if est.shape != truth.shape:

@@ -54,19 +54,6 @@ class InverseGammaQ:
         return a + np.log(b) + gammaln(a) - (1.0 + a) * digamma(a)
 
 
-@dataclass
-class SubjectScales:
-    """Shrinkage state for one subject: per-transition local scales with
-    their auxiliaries, the global scale with its auxiliary, and the initial
-    variance."""
-
-    lambda2: InverseGammaQ  # (T-1,)
-    eta: InverseGammaQ  # (T-1,)
-    tau2: InverseGammaQ
-    tau_aux: InverseGammaQ
-    sigma0: InverseGammaQ
-
-
 def update_eta(lambda2_q: InverseGammaQ) -> InverseGammaQ:
     """Auxiliary update q(eta) = IG(1, 1 + E[1/lambda^2])."""
     e_inv = np.asarray(lambda2_q.mean_inverse)

@@ -12,7 +12,9 @@ from fusionshrink.chain import (
     chain_smooth,
     dense_joint_oracle,
     expected_transition_sq,
+    smooth_core,
 )
+from fusionshrink.scales import PRECISION_FLOOR
 
 
 def random_sites(rng, T, d, scale=1.0):
@@ -162,6 +164,24 @@ def test_expected_transition_sq_plugins():
     assert expected_transition_sq(loose, 0) == pytest.approx(5.0)
 
 
+def joint_precision(prior, site_precision):
+    """The dense (T d) x (T d) precision of the chain posterior."""
+    T, d = site_precision.shape[:2]
+    prec = np.zeros((T * d, T * d))
+    eye = np.eye(d)
+    for t in range(T):
+        prec[t * d : (t + 1) * d, t * d : (t + 1) * d] += site_precision[t]
+    prec[:d, :d] += prior.init_precision * eye
+    for t in range(T - 1):
+        r = prior.transition_precisions[t]
+        a, b = slice(t * d, (t + 1) * d), slice((t + 1) * d, (t + 2) * d)
+        prec[a, a] += r * eye
+        prec[b, b] += r * eye
+        prec[a, b] -= r * eye
+        prec[b, a] -= r * eye
+    return prec
+
+
 def test_expected_transition_sq_monte_carlo():
     rng = np.random.default_rng(17)
     T, d = 4, 2
@@ -171,19 +191,7 @@ def test_expected_transition_sq_monte_carlo():
     sites = random_sites(rng, T, d)
     post = chain_smooth(prior, sites)
     # Sample the exact dense joint and average the squared transitions.
-    prec = np.zeros((T * d, T * d))
-    eye = np.eye(d)
-    for t in range(T):
-        prec[t * d : (t + 1) * d, t * d : (t + 1) * d] += sites.precision[t]
-    prec[:d, :d] += prior.init_precision * eye
-    for t in range(T - 1):
-        r = prior.transition_precisions[t]
-        a, b = slice(t * d, (t + 1) * d), slice((t + 1) * d, (t + 2) * d)
-        prec[a, a] += r * eye
-        prec[b, b] += r * eye
-        prec[a, b] -= r * eye
-        prec[b, a] -= r * eye
-    cov_joint = np.linalg.inv(prec)
+    cov_joint = np.linalg.inv(joint_precision(prior, sites.precision))
     mu = cov_joint @ sites.shift.ravel()
     draws = rng.multivariate_normal(mu, cov_joint, size=400_000)
     paths = draws.reshape(-1, T, d)
@@ -246,3 +254,81 @@ def test_zero_shift_zero_mean():
     sites.shift[:] = 0.0
     post = chain_smooth(prior, sites)
     np.testing.assert_allclose(post.mean, 0.0, atol=1e-14)
+
+
+# ----- single-chain kernel against the batched loop and the dense oracle -------
+
+
+def max_rel_err(got, ref):
+    if ref.size == 0:
+        return 0.0
+    return float(np.max(np.abs(got - ref)) / max(np.max(np.abs(ref)), 1e-300))
+
+
+def kernel_case(rng, T, d, regime, rank_deficient, rho0):
+    """Random PSD sites (every odd time rank-deficient when asked) and
+    transition precisions in the given regime."""
+    lo, hi = {
+        "moderate": (0.1, 5.0),
+        "near_zero": (1e-6, 1e-3),
+        "near_floor": (PRECISION_FLOOR, 10 * PRECISION_FLOOR),
+    }[regime]
+    rank = d - 1 if rank_deficient else d
+    A = rng.standard_normal((T, d, rank))
+    P = A @ np.swapaxes(A, -1, -2)
+    if rank_deficient:
+        P[::2] += np.eye(d)
+    h = rng.standard_normal((T, d))
+    rho = rng.uniform(lo, hi, T - 1)
+    return rho0, rho, P, h
+
+
+@pytest.mark.parametrize("regime", ["moderate", "near_zero", "near_floor"])
+@pytest.mark.parametrize("T", [1, 2, 30, 100])
+@pytest.mark.parametrize("d", [1, 2])
+def test_single_chain_kernel_matches_batched_and_oracle(d, T, regime):
+    rng = np.random.default_rng(1000 * d + T)
+    for rank_deficient in (False, True):
+        for rho0 in (0.0, 0.7):
+            rho0, rho, P, h = kernel_case(rng, T, d, regime, rank_deficient, rho0)
+            single = smooth_core(rho0, rho, P, h)
+            batched = smooth_core(rho0, rho, P[None], h[None])
+            for got, ref in zip(single, batched):
+                assert got.shape == ref.shape[1:]
+                assert max_rel_err(got, ref[0]) <= 1e-12
+            if T * d > 64:
+                continue
+            prior = GaussianChainPrior(d, rho0, rho)
+            oracle = dense_joint_oracle(prior, SitePotential(P, h))
+            # The dense inverse loses digits with the conditioning of the
+            # joint precision (rho near the floor nearly detaches the
+            # rank-deficient blocks), so the bound is 1e-12 up to a
+            # condition number of 1e4 and cond * 1e-16 beyond it.
+            cond = np.linalg.cond(joint_precision(prior, P))
+            tol = 1e-12 * max(1.0, cond / 1e4)
+            for got, ref in zip(single, (oracle.mean, oracle.cov, oracle.cross_cov)):
+                assert max_rel_err(got, ref) <= tol
+
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("bad", ["nan", "inf", "not_pd"])
+def test_single_chain_kernel_raises_like_batched(d, bad):
+    rng = np.random.default_rng(31)
+    T = 6
+    rho0, rho, P, h = kernel_case(rng, T, d, "moderate", False, 0.5)
+    if bad == "nan":
+        P[3, 0, 0] = np.nan
+    elif bad == "inf":
+        P[3, -1, -1] = np.inf
+    elif d == 1:
+        P[3] = -50.0
+    else:
+        # Positive diagonal, negative determinant.
+        P[3] = [[1.0, 40.0], [40.0, 1.0]]
+    errors = []
+    for args in ((P, h), (P[None], h[None])):
+        with pytest.raises(DegeneratePosteriorError) as info:
+            smooth_core(rho0, rho, *args)
+        errors.append(str(info.value))
+    assert errors[0] == errors[1] == "chain total precision is not positive definite"

@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from fusionshrink.chain import smooth_core
+from fusionshrink import engine as engine_module
+from fusionshrink.chain import chain_entropy, smooth_core
 from fusionshrink.engine import (
     AuxState,
     CaviEngine,
@@ -331,3 +332,93 @@ def test_shrinkage_concentrates_on_active_transitions():
     jump = post_mean_scale[0, T // 2 - 1]
     quiet = np.delete(post_mean_scale[0], T // 2 - 1)
     assert jump > 5.0 * quiet.max()
+
+
+# ----- single-chain smoother and batched entropy inside the engine -------------
+
+
+def rel_err(got, ref):
+    got, ref = np.asarray(got, dtype=float), np.asarray(ref, dtype=float)
+    return float(np.max(np.abs(got - ref)) / max(np.max(np.abs(ref)), 1e-300))
+
+
+@pytest.mark.parametrize("d,prior", [(2, "ffs"), (2, "iglsm"), (1, "ffs")])
+def test_network_sweeps_match_batched_smoother(monkeypatch, d, prior):
+    """The network schedule smooths one chain per call, which takes the
+    single-chain kernel; the same sweeps with every chain sent through the
+    batched loop (as a batch of one) must agree."""
+    rng = np.random.default_rng(41)
+    obs = network_obs(rng, 15, 8)
+    cfg = ModelConfig(d=d, prior=prior, intercept=True, inner_iters=2)
+
+    def run_three(eng):
+        for _ in range(3):
+            eng.sweep()
+        return eng
+
+    fast = run_three(CaviEngine(obs, cfg))
+
+    def batched_smooth(rho0, rho, precision, shift):
+        if np.ndim(precision) != 3:
+            return smooth_core(rho0, rho, precision, shift)
+        out = smooth_core(
+            np.asarray(rho0)[None], np.asarray(rho)[None], precision[None], shift[None]
+        )
+        return tuple(a[0] for a in out)
+
+    monkeypatch.setattr(engine_module, "smooth_core", batched_smooth)
+    ref = run_three(CaviEngine(obs, cfg))
+    for a, b in zip(fast.modes, ref.modes):
+        for name in ("mean", "cov", "cross"):
+            assert rel_err(getattr(a, name), getattr(b, name)) <= 1e-10
+        for name in ("lambda2", "eta", "tau2", "tau_aux", "sigma0"):
+            assert rel_err(getattr(a, name).rate, getattr(b, name).rate) <= 1e-10
+    assert rel_err(fast.aux.xi, ref.aux.xi) <= 1e-10
+    assert rel_err(fast.aux.intercept.mean, ref.aux.intercept.mean) <= 1e-10
+    assert abs(fast.elbo() - ref.elbo()) <= 1e-10 * abs(ref.elbo())
+
+
+@pytest.mark.parametrize("prior", ["ffs", "iglsm"])
+def test_chain_rhos_for_one_subject_are_its_row(prior):
+    rng = np.random.default_rng(42)
+    eng = CaviEngine(network_obs(rng, 10, 6), ModelConfig(d=2, prior=prior))
+    eng.sweep()
+    rho0, rho = eng._chain_rhos(0)
+    for i in range(6):
+        rho0_i, rho_i = eng._chain_rhos(0, i)
+        np.testing.assert_array_equal(rho0_i, rho0[i])
+        np.testing.assert_array_equal(rho_i, rho[i])
+
+
+def chain_entropy_loop(cov, cross):
+    """Per-chain entropy by the Markov factorisation, one block at a time."""
+    n, T, d = cov.shape[:3]
+    out = np.empty(n)
+    for i in range(n):
+        _, logdet1 = np.linalg.slogdet(cov[i, 0])
+        h = 0.5 * logdet1
+        for t in range(T - 1):
+            c = cross[i, t]
+            cond = cov[i, t + 1] - c.T @ np.linalg.solve(cov[i, t], c)
+            _, ld = np.linalg.slogdet(0.5 * (cond + cond.T))
+            h += 0.5 * ld
+        out[i] = h + 0.5 * T * d * (1.0 + np.log(2 * np.pi))
+    return out
+
+
+@pytest.mark.parametrize("prior", ["ffs", "iglsm"])
+@pytest.mark.parametrize("kind", ["matrix", "network", "tensor"])
+def test_batched_chain_entropy_matches_loop(kind, prior):
+    rng = np.random.default_rng(43)
+    obs = {
+        "matrix": lambda: gaussian_obs(rng, 12, 6, 5),
+        "network": lambda: network_obs(rng, 12, 7),
+        "tensor": lambda: tensor_obs(rng, 12, (4, 5, 3)),
+    }[kind]()
+    eng = CaviEngine(obs, ModelConfig(d=2, prior=prior))
+    for _ in range(2):
+        eng.sweep()
+    for st in eng.modes:
+        batched = chain_entropy(st.cov, st.cross)
+        loop = chain_entropy_loop(st.cov, st.cross)
+        assert np.max(np.abs(batched - loop) / np.abs(loop)) <= 1e-12

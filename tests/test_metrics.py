@@ -1,9 +1,10 @@
 """Metric definitions against direct recomputation and brute force."""
 import numpy as np
 import pytest
-from scipy.stats import pearsonr
+from scipy.stats import pearsonr, rankdata
 
 from fusionshrink.metrics import (
+    _midranks,
     auc,
     discrepancy_matrix,
     pcc,
@@ -68,6 +69,27 @@ def test_auc_plugins_and_pairwise_brute_force():
         auc(np.array([0.1, 0.2]), np.array([1, 1]))
     with pytest.raises(ValueError):
         auc(np.array([0.1, 0.2]), np.array([0, 2]))
+
+
+def test_midranks_match_scipy_rankdata_with_ties():
+    rng = np.random.default_rng(3)
+    for size in (1, 2, 7, 200, 1000):
+        for _ in range(20):
+            x = rng.integers(0, max(size // 4, 2), size).astype(float)
+            np.testing.assert_array_equal(_midranks(x), rankdata(x))
+    x = np.array([0.3, np.nan, 0.1])
+    np.testing.assert_array_equal(_midranks(x), rankdata(x))
+
+
+def test_auc_matches_rankdata_formula_with_ties():
+    rng = np.random.default_rng(4)
+    for _ in range(50):
+        y = rng.integers(0, 2, 300)
+        s = np.round(rng.random(300), 1)
+        n_pos, n_neg = int(y.sum()), int((1 - y).sum())
+        ranks = rankdata(s)
+        expected = (ranks[y == 1].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+        assert auc(s, y) == expected
 
 
 def test_discrepancy_matrix():
