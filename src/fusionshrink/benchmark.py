@@ -17,7 +17,7 @@ from .baselines import (
     svd_per_time,
     svd_windowed_all,
 )
-from .engine import FitResult, ModelConfig, fit, predict_mean
+from .engine import FitResult, ModelConfig, fit, predict_stack
 from .metrics import pcc, rmse, transition_norm_heatmap
 from .postprocess import kmeans_rows, rand_index, row_normalize, sequential_align
 from .simulate import (
@@ -48,11 +48,6 @@ def _config(d: int, seed: int, overrides: dict | None, **kwargs) -> ModelConfig:
     return replace(cfg, **overrides) if overrides else cfg
 
 
-def _predict_stack(result: FitResult) -> np.ndarray:
-    T = result.modes[0].mean.shape[1]
-    return np.stack([predict_mean(result, t) for t in range(T)])
-
-
 def run_case1(
     n: int = 20,
     p: int = 20,
@@ -75,7 +70,7 @@ def run_case1(
         Y = data.observations.values
         for method in methods:
             if method == "ffs":
-                est = _predict_stack(fit(data.observations, _config(d, s, overrides)))
+                est = predict_stack(fit(data.observations, _config(d, s, overrides)))
             elif method == "svd1":
                 est = svd_per_time(Y, d)
             elif method == "svd2":
@@ -117,9 +112,9 @@ def run_case2(
         Y = data.observations.values
         for method in methods:
             if method == "ffs":
-                est = _predict_stack(fit(data.observations, _config(d, s, overrides)))
+                est = predict_stack(fit(data.observations, _config(d, s, overrides)))
             elif method == "iglsm":
-                est = _predict_stack(
+                est = predict_stack(
                     fit(data.observations, _config(d, s, overrides, prior="iglsm"))
                 )
             elif method == "svd1":
@@ -151,7 +146,7 @@ def run_case3(
         data = gen_case3_tensor(tuple(dims), T, rho=rho, seed=s)
         for method in methods:
             if method == "ffs":
-                est = _predict_stack(fit(data.observations, _config(d, s, overrides)))
+                est = predict_stack(fit(data.observations, _config(d, s, overrides)))
             elif method == "cp":
                 est = cp_per_time(data.observations.values, d, seed=s)
             else:

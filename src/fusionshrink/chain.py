@@ -5,21 +5,24 @@ random-walk prior with scalar transition precisions plus independent
 per-time Gaussian evidence in natural (precision, shift) form.  The joint
 precision over all T time points is block tridiagonal, so marginal means,
 marginal covariances and adjacent cross-covariances come out of a
-block-Thomas forward elimination / backward substitution in O(T d^3),
-never materialising the (T d) x (T d) system.
+block-tridiagonal solve plus selected inversion in O(T d^3), never
+materialising the (T d) x (T d) system.
 
-`smooth_core` runs that recursion in one of two ways, chosen from the
-input alone.  Batched chains, and single chains with d > 2, step through
-T with numpy, each step one vectorised operation over every chain.  A
-single chain (no batch axis) with d <= 2 goes through `_smooth_single_d1`
-or `_smooth_single_d2`, the same recursion written out on Python floats:
-for one tiny block per step the numpy call overhead, not the arithmetic,
-is the cost, and the network Gauss-Seidel schedule smooths exactly one
-chain per call.
+`smooth_core` does that in one of two ways, chosen from the input alone.
+Batched chains, and single chains with d > 2, go through odd-even block
+cyclic reduction: each of ceil(log2 T) levels eliminates every other
+block of every chain with a few vectorised numpy operations, and the way
+back up reads the eliminated blocks' moments off their rows of J mu = h
+and J Sigma = I.  A single chain (no batch axis) with d <= 2 goes through
+`_smooth_single_d1` or `_smooth_single_d2`, a block-Thomas forward
+elimination / backward substitution written out on Python floats: for one
+tiny block per step the numpy call overhead, not the arithmetic, is the
+cost, and the network Gauss-Seidel schedule smooths exactly one chain per
+call.
 
-All covariance outputs are explicitly symmetrised; the backward pass keeps
-cross-covariances consistent with the marginals so that expected squared
-transitions are exact.
+All covariance outputs are explicitly symmetrised, and cross-covariances
+are consistent with the marginals so that expected squared transitions
+are exact.
 """
 from __future__ import annotations
 
@@ -120,9 +123,8 @@ class ChainPosterior:
 def _chol_inverse(mats: np.ndarray) -> np.ndarray:
     """Batched SPD inverse; raises DegeneratePosteriorError.
 
-    d <= 2 uses closed forms (the smoother calls this once per time step, so
-    for tiny blocks the Cholesky call overhead would dominate the whole
-    sweep); larger blocks go through Cholesky.
+    d <= 2 uses closed forms (for tiny blocks the Cholesky call overhead
+    would dominate the smoother); larger blocks go through Cholesky.
     """
     d = mats.shape[-1]
     if d == 1:
@@ -148,6 +150,9 @@ def _chol_inverse(mats: np.ndarray) -> np.ndarray:
         out[..., 1, 0] = out[..., 0, 1]
         out[..., 1, 1] = a * inv_det
         return out
+    # LAPACK's Cholesky passes NaN and inf through without an error.
+    if not np.all(np.isfinite(mats)):
+        raise DegeneratePosteriorError(_NOT_PD)
     try:
         chol = np.linalg.cholesky(_sym(mats))
     except np.linalg.LinAlgError as exc:
@@ -158,8 +163,8 @@ def _chol_inverse(mats: np.ndarray) -> np.ndarray:
 
 def _diag_shifts(rho0: float, rho: list[float]) -> list[float]:
     """Prior contribution to each diagonal block (rho0 at t = 0, plus
-    rho_{t-1} and rho_t where they exist), summed in the order of the
-    batched loop in `smooth_core`."""
+    rho_{t-1} and rho_t where they exist), summed in the order of
+    `smooth_core`."""
     if not rho:
         return [rho0]
     middle = [a + b for a, b in zip(rho[:-1], rho[1:])]
@@ -301,13 +306,82 @@ def _smooth_single_d2(
     )
 
 
+def _matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    return (a @ x[..., None])[..., 0]
+
+
+def _reduce(
+    A: np.ndarray, B: np.ndarray, h: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Odd-even block cyclic reduction of a block-tridiagonal Gaussian.
+
+    A (..., n, d, d) are the diagonal blocks of the precision J, B
+    (..., n-1, d, d) its upper blocks B[..., i] = J[i, i+1], and h
+    (..., n, d) the shift.  Returns the mean, the diagonal blocks of
+    J^{-1} and its upper blocks, in the layout of `smooth_core`.
+
+    Each level down eliminates the odd blocks (their inverses are the
+    pivots, checked by `_chol_inverse`), which leaves a block-tridiagonal
+    Schur complement on the even blocks whose inverse is the even part of
+    J^{-1}.  Each level up, the odd rows of J mu = h and J Sigma = I give
+    the odd means, cross-covariances and marginals from the even ones.
+    Only what the way up needs is kept from each level.
+    """
+    levels = []
+    while A.shape[-3] > 1:
+        inv = _chol_inverse(A[..., 1::2, :, :])
+        no = inv.shape[-3]
+        left_b = B[..., 0::2, :, :]  # J[k-1, k] for each odd k
+        right_b = B[..., 1::2, :, :]  # J[k, k+1]; the last odd block may have none
+        nr = right_b.shape[-3]
+        wl = inv @ np.swapaxes(left_b, -1, -2)  # inv_k J[k, k-1]
+        wr = inv[..., :nr, :, :] @ right_b  # inv_k J[k, k+1]
+        g = _matvec(inv, h[..., 1::2, :])
+        A_even = A[..., 0::2, :, :].copy()
+        A_even[..., :no, :, :] -= left_b @ wl
+        A_even[..., 1:, :, :] -= np.swapaxes(right_b, -1, -2) @ wr
+        h_even = h[..., 0::2, :].copy()
+        h_even[..., :no, :] -= _matvec(left_b, g)
+        h_even[..., 1:, :] -= _matvec(np.swapaxes(right_b, -1, -2), g[..., :nr, :])
+        A, B, h = A_even, -(left_b[..., :nr, :, :] @ wr), h_even
+        levels.append((inv, wl, wr, g))
+
+    cov = _chol_inverse(A)
+    mean = _matvec(cov, h)
+    cross = B  # no blocks: a single block is left
+    while levels:
+        inv, wl, wr, g = levels.pop()
+        no, nr = inv.shape[-3], wr.shape[-3]
+        mean_o = g - _matvec(wl, mean[..., :no, :])
+        mean_o[..., :nr, :] -= _matvec(wr, mean[..., 1:, :])
+        left = -(wl @ cov[..., :no, :, :])  # Sigma[k, k-1]
+        left[..., :nr, :, :] -= wr @ np.swapaxes(cross, -1, -2)
+        right = -(wl[..., :nr, :, :] @ cross + wr @ cov[..., 1:, :, :])  # Sigma[k, k+1]
+        cov_o = inv - wl @ np.swapaxes(left, -1, -2)
+        cov_o[..., :nr, :, :] -= wr @ np.swapaxes(right, -1, -2)
+
+        n = no + mean.shape[-2]
+        batch, d = inv.shape[:-3], inv.shape[-1]
+        mean_e, cov_e = mean, cov
+        mean = np.empty(batch + (n, d))
+        mean[..., 0::2, :] = mean_e
+        mean[..., 1::2, :] = mean_o
+        cov = np.empty(batch + (n, d, d))
+        cov[..., 0::2, :, :] = cov_e
+        cov[..., 1::2, :, :] = _sym(cov_o)
+        cross = np.empty(batch + (n - 1, d, d))
+        cross[..., 0::2, :, :] = np.swapaxes(left, -1, -2)
+        cross[..., 1::2, :, :] = right
+    return mean, cov, cross
+
+
 def smooth_core(
     rho0: np.ndarray,
     rho: np.ndarray,
     precision: np.ndarray,
     shift: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batched block-Thomas smoother.
+    """Batched chain smoother.
 
     Parameters
     ----------
@@ -321,12 +395,14 @@ def smooth_core(
     mean (..., T, d), cov (..., T, d, d), cross (..., T-1, d, d) with
     cross[..., t, :, :] = Cov(theta_t, theta_{t+1}).
 
-    The leading axes are independent chains; the T loop is shared so the
-    per-step linear algebra batches across all of them.  A single chain
-    (`precision` of shape (T, d, d)) with d <= 2 runs the same recursion in
-    `_smooth_single_d1` / `_smooth_single_d2` on Python floats instead,
-    with the same checks and the same DegeneratePosteriorError; it agrees
-    with the batched loop to rounding.
+    The leading axes are independent chains.  They are solved together by
+    odd-even block cyclic reduction (`_reduce`): ceil(log2 T) levels, each
+    a few numpy operations over every chain and every block of the level,
+    O(T d^3) work in all.  A single chain (`precision` of shape (T, d, d))
+    with d <= 2 runs the block-Thomas recursion of `_smooth_single_d1` /
+    `_smooth_single_d2` on Python floats instead.  Both raise the same
+    DegeneratePosteriorError when the joint precision is not positive
+    definite and agree to rounding.
     """
     precision = np.asarray(precision, dtype=float)
     shift = np.asarray(shift, dtype=float)
@@ -339,7 +415,8 @@ def smooth_core(
         return single(float(rho0), rho.tolist(), precision, shift)
 
     eye = np.eye(d)
-    # Diagonal blocks of the joint precision: site + prior couplings.
+    # Blocks of the joint precision: site + prior couplings on the
+    # diagonal, -rho_t I between neighbours.
     diag_scale = np.zeros(batch + (T,))
     diag_scale[..., 0] += rho0
     if T > 1:
@@ -347,41 +424,9 @@ def smooth_core(
         diag_scale[..., -1] += rho[..., -1]
         if T > 2:
             diag_scale[..., 1:-1] += rho[..., :-1] + rho[..., 1:]
-    dblocks = precision + diag_scale[..., None, None] * eye
-
-    # Forward elimination: Schur complements and conditioned shifts.
-    inv_dhat = np.empty(batch + (T, d, d))
-    bhat = np.empty(batch + (T, d))
-    inv_dhat[..., 0, :, :] = _chol_inverse(dblocks[..., 0, :, :])
-    bhat[..., 0, :] = shift[..., 0, :]
-    for t in range(1, T):
-        r = rho[..., t - 1]
-        prev_inv = inv_dhat[..., t - 1, :, :]
-        dhat = dblocks[..., t, :, :] - (r**2)[..., None, None] * prev_inv
-        inv_dhat[..., t, :, :] = _chol_inverse(dhat)
-        bhat[..., t, :] = shift[..., t, :] + r[..., None] * np.einsum(
-            "...ij,...j->...i", prev_inv, bhat[..., t - 1, :]
-        )
-
-    # Backward substitution: marginals and adjacent cross-covariances.
-    mean = np.empty(batch + (T, d))
-    cov = np.empty(batch + (T, d, d))
-    cross = np.empty(batch + (max(T - 1, 0), d, d))
-    cov[..., T - 1, :, :] = inv_dhat[..., T - 1, :, :]
-    mean[..., T - 1, :] = np.einsum(
-        "...ij,...j->...i", inv_dhat[..., T - 1, :, :], bhat[..., T - 1, :]
+    return _reduce(
+        precision + diag_scale[..., None, None] * eye, -rho[..., None, None] * eye, shift
     )
-    for t in range(T - 2, -1, -1):
-        r = rho[..., t]
-        inv_t = inv_dhat[..., t, :, :]
-        gain = r[..., None, None] * inv_t
-        mean[..., t, :] = np.einsum(
-            "...ij,...j->...i", inv_t, bhat[..., t, :]
-        ) + np.einsum("...ij,...j->...i", gain, mean[..., t + 1, :])
-        cov_next = cov[..., t + 1, :, :]
-        cross[..., t, :, :] = gain @ cov_next
-        cov[..., t, :, :] = _sym(inv_t + gain @ cov_next @ np.swapaxes(gain, -1, -2))
-    return mean, cov, cross
 
 
 def chain_smooth(prior: GaussianChainPrior, sites: SitePotential) -> ChainPosterior:

@@ -16,14 +16,13 @@ import numpy as np
 
 from .benchmark import SCENARIOS
 from .dataio import (
-    _slice_to_2d,
-    _stack_time_major,
-    _write_matrix,
     load_dataset,
     load_fit_factors,
     save_dataset,
     save_fit,
+    write_factors,
     write_results_csv,
+    write_slices,
 )
 from .engine import ModelConfig, fit
 from .postprocess import kmeans_rows, row_normalize, sequential_align
@@ -108,8 +107,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         data = gen_two_movers(n, T, transit_prob=1.0 - rho, seed=seed)
     out = Path(args.out)
     save_dataset(out, data.observations, seed=seed)
-    for t in range(T):
-        _write_matrix(out / f"truth_t{t:04d}.txt", _slice_to_2d(data.truth_means[t]))
+    write_slices(out, "truth_t", data.truth_means)
     if data.truth_labels is not None:
         np.savetxt(out / "labels.txt", data.truth_labels, fmt="%d")
     print(f"simulate {scenario}: T={T} dims={data.observations.dims} -> {out}")
@@ -142,8 +140,7 @@ def cmd_postprocess(args: argparse.Namespace) -> int:
             paths = [stacked[:, :n0], stacked[:, n0:]]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for k, p in enumerate(paths):
-        _write_matrix(out / f"post_m{k}.txt", _stack_time_major(p.transpose(1, 0, 2)))
+    write_factors(out, "post_m", [p.transpose(1, 0, 2) for p in paths])
     if args.kmeans is not None:
         seed = int(entries.get("seed", "0"))
         labels = np.empty((paths[0].shape[0], paths[0].shape[1]), dtype=int)

@@ -14,7 +14,7 @@ from statistics import median
 
 import numpy as np
 
-from .engine import FitResult, predict_mean
+from .engine import FitResult, predict_stack
 from .likelihoods import KINDS, ObservationSet
 from .postprocess import sequential_align
 
@@ -29,6 +29,14 @@ def _slice_to_2d(slice_t: np.ndarray) -> np.ndarray:
     if slice_t.ndim <= 2:
         return slice_t
     return slice_t.reshape(slice_t.shape[0], -1, order="F")
+
+
+def write_slices(directory: str | Path, prefix: str, slices: np.ndarray) -> None:
+    """Write a (T, *dims) stack as one text matrix per time step,
+    `{prefix}{t:04d}.txt`, order-3 slices as their first-mode unfolding."""
+    directory = Path(directory)
+    for t, slice_t in enumerate(slices):
+        _write_matrix(directory / f"{prefix}{t:04d}.txt", _slice_to_2d(slice_t))
 
 
 def _slice_from_2d(flat: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
@@ -52,9 +60,9 @@ def save_dataset(
         f"has_mask={0 if obs.mask is None else 1}",
     ]
     (directory / "manifest.txt").write_text("\n".join(lines) + "\n")
-    for t in range(obs.horizon):
-        _write_matrix(directory / f"t{t:04d}.txt", _slice_to_2d(obs.values[t]))
-        if obs.mask is not None:
+    write_slices(directory, "t", obs.values)
+    if obs.mask is not None:
+        for t in range(obs.horizon):
             np.savetxt(
                 directory / f"m{t:04d}.txt",
                 np.atleast_2d(_slice_to_2d(obs.mask[t].astype(int))),
@@ -116,6 +124,14 @@ def _unstack_time_major(flat: np.ndarray, n: int) -> np.ndarray:
     return flat.reshape(T, n, flat.shape[1]).transpose(1, 0, 2)
 
 
+def write_factors(directory: str | Path, prefix: str, factors: list[np.ndarray]) -> None:
+    """Write (n, T, d) factor paths as `{prefix}{k}.txt`, each a (T * n, d)
+    matrix with rows grouped by time step."""
+    directory = Path(directory)
+    for k, factor in enumerate(factors):
+        _write_matrix(directory / f"{prefix}{k}.txt", _stack_time_major(factor))
+
+
 def aligned_trajectories(fit: FitResult) -> list[np.ndarray] | None:
     """Rotation-resolved factor paths, or None where alignment is not
     defined (more than two latent modes).
@@ -160,17 +176,11 @@ def save_fit(directory: str | Path, fit: FitResult) -> Path:
     (directory / "trace.txt").write_text(
         "".join(_FMT % v + "\n" for v in fit.trace)
     )
-    for k, mode in enumerate(fit.modes):
-        _write_matrix(directory / f"mean_m{k}.txt", _stack_time_major(mode.mean))
+    write_factors(directory, "mean_m", [mode.mean for mode in fit.modes])
     aligned = aligned_trajectories(fit)
     if aligned is not None:
-        for k, traj in enumerate(aligned):
-            _write_matrix(directory / f"aligned_m{k}.txt", _stack_time_major(traj))
-    T = fit.modes[0].mean.shape[1]
-    for t in range(T):
-        _write_matrix(
-            directory / f"predicted_t{t:04d}.txt", _slice_to_2d(predict_mean(fit, t))
-        )
+        write_factors(directory, "aligned_m", aligned)
+    write_slices(directory, "predicted_t", predict_stack(fit))
     return directory
 
 

@@ -154,18 +154,32 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _link_probs(fit: FitResult, u: np.ndarray) -> np.ndarray:
+    """Network link probabilities from positions u (..., n, d), with the
+    structurally absent diagonal zeroed."""
+    b = fit.aux.intercept.mean if fit.aux.intercept is not None else 0.0
+    probs = _sigmoid(b + u @ np.swapaxes(u, -1, -2))
+    diag = np.arange(u.shape[-2])
+    probs[..., diag, diag] = 0.0
+    return probs
+
+
 def predict_mean(fit: FitResult, t: int) -> np.ndarray:
     """Predicted mean slice at time t (probabilities for the network kind,
     with the structurally absent diagonal zeroed)."""
-    means_t = [st.mean[:, t] for st in fit.modes]
     if fit.kind == "bernoulli-network":
-        b = fit.aux.intercept.mean if fit.aux.intercept is not None else 0.0
-        logits = b + means_t[0] @ means_t[0].T
-        probs = _sigmoid(logits)
-        np.fill_diagonal(probs, 0.0)
-        return probs
+        return _link_probs(fit, fit.modes[0].mean[:, t])
     sizes = tuple(st.mean.shape[0] for st in fit.modes)
-    return cp_mean_slice(means_t, sizes)
+    return cp_mean_slice([st.mean[:, t] for st in fit.modes], sizes)
+
+
+def predict_stack(fit: FitResult) -> np.ndarray:
+    """Predicted mean slices at every time, (T, *dims); the network kind is
+    one stacked product over time."""
+    if fit.kind == "bernoulli-network":
+        return _link_probs(fit, np.swapaxes(fit.modes[0].mean, 0, 1))
+    T = fit.modes[0].mean.shape[1]
+    return np.stack([predict_mean(fit, t) for t in range(T)])
 
 
 class CaviEngine:
@@ -452,8 +466,7 @@ class CaviEngine:
         )
 
     def predict_stack(self) -> np.ndarray:
-        view = self._fit_view()
-        return np.stack([predict_mean(view, t) for t in range(self.T)])
+        return predict_stack(self._fit_view())
 
     def metric(self) -> float:
         """In-sample RMSE (Gaussian kinds) or training AUC (network)."""

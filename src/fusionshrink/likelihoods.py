@@ -64,6 +64,13 @@ class ObservationSet:
             raise ValueError(f"{self.kind} expects (T, n, p) values")
         if self.kind == "gaussian-tensor" and self.values.ndim < 4:
             raise ValueError("gaussian-tensor expects (T, n1, ..., nM) with M >= 3")
+        bad = np.argwhere(~np.isfinite(self.values))
+        if bad.size:
+            first = tuple(int(i) for i in bad[0])
+            raise ValueError(
+                f"values must be finite: {len(bad)} non-finite value(s), the "
+                f"first {float(self.values[first])!r} at index {first} (time, ...)"
+            )
         if self.mask is not None:
             self.mask = np.asarray(self.mask)
             if self.mask.shape != self.values.shape:

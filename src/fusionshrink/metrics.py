@@ -39,7 +39,8 @@ def _midranks(x: np.ndarray) -> np.ndarray:
     ranks; all NaN if any entry is NaN."""
     if np.isnan(x).any():
         return np.full(x.shape, np.nan)
-    order = np.argsort(x, kind="stable")
+    # Any sort will do: every member of a tie group gets the group's mean.
+    order = np.argsort(x)
     xs = x[order]
     starts = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
     ends = np.r_[starts[1:], xs.size]

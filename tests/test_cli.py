@@ -101,6 +101,19 @@ def test_fit_kind_mismatch_exits_2(tmp_path, capsys):
     assert "manifest" in capsys.readouterr().err
 
 
+def test_fit_non_finite_data_exits_2(tmp_path, capsys):
+    data = simulate_small(tmp_path)
+    slice_path = data / "t0001.txt"
+    values = np.loadtxt(slice_path)
+    values[2, 3] = np.nan
+    np.savetxt(slice_path, values)
+    rc = run_cli("fit", "--data", str(data), "--out", str(tmp_path / "o"))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: values must be finite")
+    assert "nan at index (1, 2, 3)" in err
+
+
 def test_network_fit_with_intercept(tmp_path):
     data = simulate_small(tmp_path, scenario="cluster")
     out = tmp_path / "fit_net"

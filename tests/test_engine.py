@@ -13,6 +13,7 @@ from fusionshrink.engine import (
     cp_mean_slice,
     fit,
     predict_mean,
+    predict_stack,
 )
 from fusionshrink.likelihoods import ObservationSet
 from fusionshrink.scales import InverseGammaQ
@@ -292,6 +293,36 @@ def test_fit_network_smoke():
     assert np.all(np.diag(probs) == 0)
     assert result.aux.intercept is not None
     assert len(result.trace) == result.cycles
+
+
+@pytest.mark.parametrize("case", ["network", "network_intercept", "matrix", "tensor"])
+def test_predict_stack_equals_per_time_slices(case):
+    # The stacked network product must give the bits of one product per time
+    # (written out here as the per-time formula), symmetric to the bit.
+    rng = np.random.default_rng(14)
+    if case.startswith("network"):
+        obs = network_obs(rng, 5, 12)
+        cfg = ModelConfig(d=2, intercept=case == "network_intercept", max_cycles=3)
+    elif case == "matrix":
+        obs, cfg = gaussian_obs(rng, 5, 6, 4), ModelConfig(d=2, max_cycles=3)
+    else:
+        obs, cfg = tensor_obs(rng, 5, (4, 3, 3)), ModelConfig(d=2, max_cycles=3)
+    eng = CaviEngine(obs, cfg)
+    result = eng.run()
+    stack = predict_stack(result)
+    np.testing.assert_array_equal(eng.predict_stack(), stack)
+    if obs.kind == "bernoulli-network":
+        b = result.aux.intercept.mean if result.aux.intercept is not None else 0.0
+        slices = []
+        for t in range(obs.horizon):
+            u = result.modes[0].mean[:, t]
+            probs = engine_module._sigmoid(b + u @ u.T)
+            np.fill_diagonal(probs, 0.0)
+            slices.append(probs)
+        np.testing.assert_array_equal(stack, np.swapaxes(stack, 1, 2))
+    else:
+        slices = [predict_mean(result, t) for t in range(obs.horizon)]
+    np.testing.assert_array_equal(stack, np.stack(slices))
 
 
 def test_fit_tensor_smoke():

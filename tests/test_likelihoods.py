@@ -1,4 +1,6 @@
 """Site builders against plug-in values, Monte Carlo, and brute force."""
+import re
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,24 @@ def test_observation_set_validation():
             values=np.zeros((2, 3, 4)),
             mask=np.full((2, 3, 4), 0.5),
         )
+
+
+@pytest.mark.parametrize("kind, shape", [
+    ("gaussian-matrix", (2, 3, 4)),
+    ("gaussian-tensor", (2, 3, 4, 2)),
+    ("bernoulli-network", (2, 3, 3)),
+])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_observation_set_rejects_non_finite(kind, shape, bad):
+    rest = (0,) * (len(shape) - 3)
+    values = np.zeros(shape)
+    values[(1, 2, 0) + rest] = bad
+    values[(1, 0, 2) + rest] = bad  # keeps the network slice symmetric
+    mask = np.ones(shape)
+    mask[(1, 2, 0) + rest] = mask[(1, 0, 2) + rest] = 0  # no exception yet
+    message = f"2 non-finite value(s), the first {bad!r} at index (1, 0, 2"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ObservationSet(kind=kind, values=values, mask=mask)
 
 
 def test_count_observed():

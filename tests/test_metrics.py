@@ -77,6 +77,11 @@ def test_midranks_match_scipy_rankdata_with_ties():
         for _ in range(20):
             x = rng.integers(0, max(size // 4, 2), size).astype(float)
             np.testing.assert_array_equal(_midranks(x), rankdata(x))
+    # Heavy ties, including -0.0 and 0.0, which compare equal.
+    for size in (50, 79_200):
+        for levels in ((0.0,), (-0.0, 0.0), (-0.0, 0.0, 1.0), (-1.0, -0.0, 0.0, 0.5)):
+            x = rng.choice(np.array(levels), size)
+            np.testing.assert_array_equal(_midranks(x), rankdata(x))
     x = np.array([0.3, np.nan, 0.1])
     np.testing.assert_array_equal(_midranks(x), rankdata(x))
 
