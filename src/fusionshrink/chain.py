@@ -13,12 +13,16 @@ Batched chains, and single chains with d > 2, go through odd-even block
 cyclic reduction: each of ceil(log2 T) levels eliminates every other
 block of every chain with a few vectorised numpy operations, and the way
 back up reads the eliminated blocks' moments off their rows of J mu = h
-and J Sigma = I.  A single chain (no batch axis) with d <= 2 goes through
-`_smooth_single_d1` or `_smooth_single_d2`, a block-Thomas forward
-elimination / backward substitution written out on Python floats: for one
-tiny block per step the numpy call overhead, not the arithmetic, is the
-cost, and the network Gauss-Seidel schedule smooths exactly one chain per
-call.
+and J Sigma = I.  The reduction stores blocks as (d, d, ..., T) and
+vectors as (d, ..., T), block axes first and the time axis last: numpy's
+stacked matmul on (..., d, d) arrays makes one inner-loop call per tiny
+block, while a product over the entry arrays (`_dot`) runs each inner
+loop over every chain and block of the level at once.  A single chain
+(no batch axis) with d <= 2 goes through `_smooth_single_d1` or
+`_smooth_single_d2`, a block-Thomas forward elimination / backward
+substitution written out on Python floats: for one tiny block per step
+the numpy call overhead, not the arithmetic, is the cost, and the network
+Gauss-Seidel schedule smooths exactly one chain per call.
 
 All covariance outputs are explicitly symmetrised, and cross-covariances
 are consistent with the marginals so that expected squared transitions
@@ -120,22 +124,40 @@ class ChainPosterior:
     cross_cov: np.ndarray
 
 
-def _chol_inverse(mats: np.ndarray) -> np.ndarray:
-    """Batched SPD inverse; raises DegeneratePosteriorError.
+def _axes_last(a: np.ndarray, k: int) -> np.ndarray:
+    """View of a with its first k axes moved to the end.
 
-    d <= 2 uses closed forms (for tiny blocks the Cholesky call overhead
-    would dominate the smoother); larger blocks go through Cholesky.
+    `np.moveaxis` does the same but spends several microseconds a call
+    checking its arguments, which shows on single chains.
     """
-    d = mats.shape[-1]
+    return a.transpose(*range(k, a.ndim), *range(k))
+
+
+def _axes_first(a: np.ndarray, k: int) -> np.ndarray:
+    """View of a with its last k axes moved to the front."""
+    n = a.ndim - k
+    return a.transpose(*range(n, a.ndim), *range(n))
+
+
+def _chol_inverse(mats: np.ndarray) -> np.ndarray:
+    """Batched SPD inverse of blocks stored as (d, d, ...); raises
+    DegeneratePosteriorError.
+
+    d <= 2 uses closed forms on the entry arrays (for tiny blocks the
+    Cholesky call overhead would dominate the smoother); larger blocks go
+    through Cholesky with the block axes moved last for LAPACK.  The
+    result is contiguous, in the layout of `mats`.
+    """
+    d = mats.shape[0]
     if d == 1:
-        a = mats[..., 0, 0]
+        a = mats[0, 0]
         if not np.all(np.isfinite(a)) or np.any(a <= 0):
             raise DegeneratePosteriorError(_NOT_PD)
-        return (1.0 / a)[..., None, None]
+        return (1.0 / a)[None, None]
     if d == 2:
-        a = mats[..., 0, 0]
-        c = mats[..., 1, 1]
-        b = 0.5 * (mats[..., 0, 1] + mats[..., 1, 0])
+        a = mats[0, 0]
+        c = mats[1, 1]
+        b = 0.5 * (mats[0, 1] + mats[1, 0])
         det = a * c - b * b
         if (
             not (np.all(np.isfinite(a)) and np.all(np.isfinite(det)))
@@ -143,22 +165,22 @@ def _chol_inverse(mats: np.ndarray) -> np.ndarray:
             or np.any(det <= 0)
         ):
             raise DegeneratePosteriorError(_NOT_PD)
-        out = np.empty_like(mats, dtype=float)
+        out = np.empty(mats.shape)
         inv_det = 1.0 / det
-        out[..., 0, 0] = c * inv_det
-        out[..., 0, 1] = -b * inv_det
-        out[..., 1, 0] = out[..., 0, 1]
-        out[..., 1, 1] = a * inv_det
+        out[0, 0] = c * inv_det
+        out[0, 1] = out[1, 0] = -b * inv_det
+        out[1, 1] = a * inv_det
         return out
     # LAPACK's Cholesky passes NaN and inf through without an error.
     if not np.all(np.isfinite(mats)):
         raise DegeneratePosteriorError(_NOT_PD)
     try:
-        chol = np.linalg.cholesky(_sym(mats))
+        chol = np.linalg.cholesky(_sym(_axes_last(mats, 2)))
     except np.linalg.LinAlgError as exc:
         raise DegeneratePosteriorError(_NOT_PD) from exc
     linv = np.linalg.inv(chol)
-    return _sym(np.swapaxes(linv, -1, -2) @ linv)
+    inv = _sym(np.swapaxes(linv, -1, -2) @ linv)
+    return np.ascontiguousarray(_axes_first(inv, 2))
 
 
 def _diag_shifts(rho0: float, rho: list[float]) -> list[float]:
@@ -306,72 +328,90 @@ def _smooth_single_d2(
     )
 
 
-def _matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return (a @ x[..., None])[..., 0]
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Block product a @ b, or matvec a @ x, in the block-axes-first layout.
+
+    a is (d, d, ...) and b is (d, d, ...) or (d, ...).  For a block b its
+    column axis lands in the ellipsis and broadcasts against the leading
+    batch axes of a, so one subscript serves both.  The inner loop runs
+    over the trailing chain and block axes, not once per block.
+    """
+    return np.einsum("ik...,k...->i...", a, b)
+
+
+def _t(a: np.ndarray) -> np.ndarray:
+    """Transpose every block of a (d, d, ...) array."""
+    return a.swapaxes(0, 1)
 
 
 def _reduce(
-    A: np.ndarray, B: np.ndarray, h: np.ndarray
+    A: np.ndarray, C: np.ndarray, h: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Odd-even block cyclic reduction of a block-tridiagonal Gaussian.
 
-    A (..., n, d, d) are the diagonal blocks of the precision J, B
-    (..., n-1, d, d) its upper blocks B[..., i] = J[i, i+1], and h
-    (..., n, d) the shift.  Returns the mean, the diagonal blocks of
-    J^{-1} and its upper blocks, in the layout of `smooth_core`.
+    Blocks are stored with their two axes first and vectors with theirs
+    first, so the block index is the last, contiguous axis: A (d, d, ...,
+    n) are the diagonal blocks of the precision J, C (d, d, ..., n-1) the
+    negated upper blocks C[..., i] = -J[i, i+1] (rho_i I for the prior),
+    and h (d, ..., n) the shift.  Returns the mean (d, ..., n), the
+    diagonal blocks of J^{-1} (d, d, ..., n) and its upper blocks (d, d,
+    ..., n-1) in the same layout.  numpy's stacked matmul on (..., d, d)
+    arrays runs its inner loop once per tiny block; here every product is
+    one `_dot` whose inner loop runs over all chains and blocks of the
+    level.
 
     Each level down eliminates the odd blocks (their inverses are the
     pivots, checked by `_chol_inverse`), which leaves a block-tridiagonal
     Schur complement on the even blocks whose inverse is the even part of
     J^{-1}.  Each level up, the odd rows of J mu = h and J Sigma = I give
     the odd means, cross-covariances and marginals from the even ones.
-    Only what the way up needs is kept from each level.
+    Only what the way up needs is kept from each level, and A, C and h
+    are read, never written.
     """
     levels = []
-    while A.shape[-3] > 1:
-        inv = _chol_inverse(A[..., 1::2, :, :])
-        no = inv.shape[-3]
-        left_b = B[..., 0::2, :, :]  # J[k-1, k] for each odd k
-        right_b = B[..., 1::2, :, :]  # J[k, k+1]; the last odd block may have none
-        nr = right_b.shape[-3]
-        wl = inv @ np.swapaxes(left_b, -1, -2)  # inv_k J[k, k-1]
-        wr = inv[..., :nr, :, :] @ right_b  # inv_k J[k, k+1]
-        g = _matvec(inv, h[..., 1::2, :])
-        A_even = A[..., 0::2, :, :].copy()
-        A_even[..., :no, :, :] -= left_b @ wl
-        A_even[..., 1:, :, :] -= np.swapaxes(right_b, -1, -2) @ wr
-        h_even = h[..., 0::2, :].copy()
-        h_even[..., :no, :] -= _matvec(left_b, g)
-        h_even[..., 1:, :] -= _matvec(np.swapaxes(right_b, -1, -2), g[..., :nr, :])
-        A, B, h = A_even, -(left_b[..., :nr, :, :] @ wr), h_even
+    while A.shape[-1] > 1:
+        inv = _chol_inverse(A[..., 1::2])
+        no = inv.shape[-1]
+        left_c = C[..., 0::2]  # -J[k-1, k] for each odd k
+        right_c = C[..., 1::2]  # -J[k, k+1]; the last odd block may have none
+        nr = right_c.shape[-1]
+        wl = _dot(inv, _t(left_c))  # -inv_k J[k, k-1]
+        wr = _dot(inv[..., :nr], right_c)  # -inv_k J[k, k+1]
+        g = _dot(inv, h[..., 1::2])
+        A_even = A[..., 0::2].copy()
+        A_even[..., :no] -= _dot(left_c, wl)
+        A_even[..., 1:] -= _dot(_t(right_c), wr)
+        h_even = h[..., 0::2].copy()
+        h_even[..., :no] += _dot(left_c, g)
+        h_even[..., 1:] += _dot(_t(right_c), g[..., :nr])
+        A, C, h = A_even, _dot(left_c[..., :nr], wr), h_even
         levels.append((inv, wl, wr, g))
 
     cov = _chol_inverse(A)
-    mean = _matvec(cov, h)
-    cross = B  # no blocks: a single block is left
+    mean = _dot(cov, h)
+    cross = C  # no blocks: a single block is left
     while levels:
         inv, wl, wr, g = levels.pop()
-        no, nr = inv.shape[-3], wr.shape[-3]
-        mean_o = g - _matvec(wl, mean[..., :no, :])
-        mean_o[..., :nr, :] -= _matvec(wr, mean[..., 1:, :])
-        left = -(wl @ cov[..., :no, :, :])  # Sigma[k, k-1]
-        left[..., :nr, :, :] -= wr @ np.swapaxes(cross, -1, -2)
-        right = -(wl[..., :nr, :, :] @ cross + wr @ cov[..., 1:, :, :])  # Sigma[k, k+1]
-        cov_o = inv - wl @ np.swapaxes(left, -1, -2)
-        cov_o[..., :nr, :, :] -= wr @ np.swapaxes(right, -1, -2)
+        no, nr = inv.shape[-1], wr.shape[-1]
+        mean_o = g + _dot(wl, mean[..., :no])
+        mean_o[..., :nr] += _dot(wr, mean[..., 1:])
+        left = _dot(wl, cov[..., :no])  # Sigma[k, k-1]
+        left[..., :nr] += _dot(wr, _t(cross))
+        right = _dot(wl[..., :nr], cross) + _dot(wr, cov[..., 1:])  # Sigma[k, k+1]
+        cov_o = inv + _dot(wl, _t(left))
+        cov_o[..., :nr] += _dot(wr, _t(right))
 
-        n = no + mean.shape[-2]
-        batch, d = inv.shape[:-3], inv.shape[-1]
+        n = no + mean.shape[-1]
         mean_e, cov_e = mean, cov
-        mean = np.empty(batch + (n, d))
-        mean[..., 0::2, :] = mean_e
-        mean[..., 1::2, :] = mean_o
-        cov = np.empty(batch + (n, d, d))
-        cov[..., 0::2, :, :] = cov_e
-        cov[..., 1::2, :, :] = _sym(cov_o)
-        cross = np.empty(batch + (n - 1, d, d))
-        cross[..., 0::2, :, :] = np.swapaxes(left, -1, -2)
-        cross[..., 1::2, :, :] = right
+        mean = np.empty(mean_e.shape[:-1] + (n,))
+        mean[..., 0::2] = mean_e
+        mean[..., 1::2] = mean_o
+        cov = np.empty(cov_e.shape[:-1] + (n,))
+        cov[..., 0::2] = cov_e
+        cov[..., 1::2] = 0.5 * (cov_o + _t(cov_o))
+        cross = np.empty(cov_e.shape[:-1] + (n - 1,))
+        cross[..., 0::2] = _t(left)
+        cross[..., 1::2] = right
     return mean, cov, cross
 
 
@@ -393,14 +433,20 @@ def smooth_core(
     Returns
     -------
     mean (..., T, d), cov (..., T, d, d), cross (..., T-1, d, d) with
-    cross[..., t, :, :] = Cov(theta_t, theta_{t+1}).
+    cross[..., t, :, :] = Cov(theta_t, theta_{t+1}), all new C-contiguous
+    arrays; the inputs are not modified.
 
     The leading axes are independent chains.  They are solved together by
     odd-even block cyclic reduction (`_reduce`): ceil(log2 T) levels, each
     a few numpy operations over every chain and every block of the level,
-    O(T d^3) work in all.  A single chain (`precision` of shape (T, d, d))
-    with d <= 2 runs the block-Thomas recursion of `_smooth_single_d1` /
-    `_smooth_single_d2` on Python floats instead.  Both raise the same
+    O(T d^3) work in all.  The reduction stores blocks as (d, d, ..., T)
+    and vectors as (d, ..., T), block axes first: numpy's stacked matmul
+    makes one inner-loop call per tiny block, while whole-array products
+    over the trailing chain and time axes make one per product.  The
+    inputs are moved into that layout once and the outputs back once.  A
+    single chain (`precision` of shape (T, d, d)) with d <= 2 runs the
+    block-Thomas recursion of `_smooth_single_d1` / `_smooth_single_d2`
+    on Python floats instead.  Both raise the same
     DegeneratePosteriorError when the joint precision is not positive
     definite and agree to rounding.
     """
@@ -414,9 +460,8 @@ def smooth_core(
         single = _smooth_single_d1 if d == 1 else _smooth_single_d2
         return single(float(rho0), rho.tolist(), precision, shift)
 
-    eye = np.eye(d)
     # Blocks of the joint precision: site + prior couplings on the
-    # diagonal, -rho_t I between neighbours.
+    # diagonal, -rho_t I between neighbours (C holds rho_t I).
     diag_scale = np.zeros(batch + (T,))
     diag_scale[..., 0] += rho0
     if T > 1:
@@ -424,8 +469,16 @@ def smooth_core(
         diag_scale[..., -1] += rho[..., -1]
         if T > 2:
             diag_scale[..., 1:-1] += rho[..., :-1] + rho[..., 1:]
-    return _reduce(
-        precision + diag_scale[..., None, None] * eye, -rho[..., None, None] * eye, shift
+    A = _axes_first(precision, 2).copy()
+    C = np.zeros((d, d) + rho.shape)
+    for i in range(d):
+        A[i, i] += diag_scale
+        C[i, i] = rho
+    mean, cov, cross = _reduce(A, C, _axes_first(shift, 1))
+    return (
+        np.ascontiguousarray(_axes_last(mean, 1)),
+        np.ascontiguousarray(_axes_last(cov, 2)),
+        np.ascontiguousarray(_axes_last(cross, 2)),
     )
 
 

@@ -26,6 +26,22 @@ class SyntheticDataset:
     truth_labels: np.ndarray | None = None  # (T, n) cluster scenarios only
 
 
+def _check_sizes(**sizes: int) -> None:
+    for name, value in sizes.items():
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
+
+
+def _check_prob(name: str, value: float) -> None:
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {value}")
+
+
+def _check_sigma(sigma: float) -> None:
+    if not (np.isfinite(sigma) and sigma >= 0.0):
+        raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
+
+
 def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
@@ -69,6 +85,9 @@ def gen_case1(
 ) -> SyntheticDataset:
     """Dynamic Gaussian matrix: rows and columns start at N(0, I_d) and
     jump by +-(1, ..., 1) with probability 1 - rho per step."""
+    _check_sizes(n=n, p=p, T=T, d=d)
+    _check_prob("rho", rho)
+    _check_sigma(sigma)
     rng = _rng(seed)
     u0 = rng.standard_normal((n, d))
     v0 = rng.standard_normal((p, d))
@@ -109,6 +128,8 @@ def gen_case2_network(
     """Dynamic binary network: positions start from the two-component
     mixture 0.5 N((1,0), I) + 0.5 N((-1,0), I) and jump by +-(0.25, 0.25)
     with probability 1 - rho; edges are Bernoulli(logistic(u_i' u_j))."""
+    _check_sizes(n=n, T=T)
+    _check_prob("rho", rho)
     d = 2
     rng = _rng(seed)
     comp = rng.random(n) < 0.5
@@ -130,6 +151,9 @@ def gen_case3_tensor(
 ) -> SyntheticDataset:
     """Dynamic order-3 Gaussian tensor; every mode's rows start at
     N(0, I_2) and jump by +-(0.25, 0.25) with probability 1 - rho."""
+    _check_sizes(**{f"dims[{m}]": n_m for m, n_m in enumerate(dims)}, T=T)
+    _check_prob("rho", rho)
+    _check_sigma(sigma)
     d = 2
     rng = _rng(seed)
     factors = []
@@ -176,6 +200,8 @@ def gen_cluster_case(
     put w.p. p_stay else hop to another corner uniformly; edges are
     Bernoulli(logistic(-2 + u_i' u_j)).  truth_labels hold the corner
     index per (time, subject)."""
+    _check_sizes(n=n, T=T)
+    _check_prob("p_stay", p_stay)
     rng = _rng(seed)
     labels, U = _corner_walk(rng, n, T, p_stay, _CORNERS_2)
     probs = _network_probs(U, intercept=-2.0)
@@ -190,6 +216,8 @@ def gen_two_movers(
     """Localisation probe: subjects sit on the corners of {-1, 1}^2; only
     subjects 0 and 1 ever move (w.p. transit_prob per step, uniformly to
     another corner); edges are Bernoulli(logistic(2 u_i' u_j))."""
+    _check_sizes(n=n, T=T)
+    _check_prob("transit_prob", transit_prob)
     rng = _rng(seed)
     movers = np.zeros(n, dtype=bool)
     movers[:2] = True

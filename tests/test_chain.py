@@ -261,6 +261,13 @@ def test_zero_shift_zero_mean():
 # ----- reference recursion: the batched block-Thomas loop ----------------------
 
 
+def block_inverse(mats):
+    """`_chol_inverse` on (..., d, d) blocks; it takes and returns them as
+    (d, d, ...)."""
+    inv = _chol_inverse(np.moveaxis(mats, (-2, -1), (0, 1)))
+    return np.moveaxis(inv, (0, 1), (-2, -1))
+
+
 def loop_smooth(rho0, rho, precision, shift):
     """Reference for `smooth_core`: block-Thomas forward elimination and
     backward substitution stepping through T with numpy, each step batched
@@ -286,13 +293,13 @@ def loop_smooth(rho0, rho, precision, shift):
     # Forward elimination: Schur complements and conditioned shifts.
     inv_dhat = np.empty(batch + (T, d, d))
     bhat = np.empty(batch + (T, d))
-    inv_dhat[..., 0, :, :] = _chol_inverse(dblocks[..., 0, :, :])
+    inv_dhat[..., 0, :, :] = block_inverse(dblocks[..., 0, :, :])
     bhat[..., 0, :] = shift[..., 0, :]
     for t in range(1, T):
         r = rho[..., t - 1]
         prev_inv = inv_dhat[..., t - 1, :, :]
         dhat = dblocks[..., t, :, :] - (r**2)[..., None, None] * prev_inv
-        inv_dhat[..., t, :, :] = _chol_inverse(dhat)
+        inv_dhat[..., t, :, :] = block_inverse(dhat)
         bhat[..., t, :] = shift[..., t, :] + r[..., None] * np.einsum(
             "...ij,...j->...i", prev_inv, bhat[..., t - 1, :]
         )
@@ -460,3 +467,32 @@ def test_cyclic_reduction_raises_like_loop(d, bad, T, where):
                 smoother(rho0, rho, P, h)
             errors.append(str(info.value))
         assert errors[0] == errors[1] == "chain total precision is not positive definite"
+
+
+# ----- smooth_core contract: inputs untouched, fresh contiguous outputs --------
+
+
+@pytest.mark.parametrize("T", [1, 2, 7, 100])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("batch", [(), (3,), (2, 3)])
+def test_smooth_core_leaves_inputs_and_returns_contiguous(batch, d, T):
+    # The reduction moves axes through views; a view of an input written in
+    # place, or a non-contiguous view handed back (and stored in a mode's
+    # state), would corrupt or slow later sweeps.
+    rng = np.random.default_rng(10 * T + d + len(batch))
+    for broadcast_rho in (False, True) if batch else (False,):
+        rho0, rho, P, h = kernel_case(rng, T, d, "moderate", False, 0.0, batch)
+        rho0 = rng.uniform(0.1, 1.0, batch)
+        if broadcast_rho:
+            rho = rho[(0,) * len(batch)]  # one (T-1,) row shared by every chain
+        inputs = (rho0, rho, P, h)
+        before = [x.copy() for x in inputs]
+        outs = smooth_core(*inputs)
+        for x, x0 in zip(inputs, before):
+            np.testing.assert_array_equal(x, x0)
+        shapes = (batch + (T, d), batch + (T, d, d), batch + (T - 1, d, d))
+        for out, shape in zip(outs, shapes):
+            assert out.shape == shape
+            assert out.flags.c_contiguous
+            for x in inputs:
+                assert not np.shares_memory(out, x)

@@ -49,6 +49,30 @@ def test_simulate_rejects_bad_dims(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "scenario, flag, value, message",
+    [
+        ("case1", "--rho", "2", "error: rho must lie in [0, 1]"),
+        ("case1", "--sigma", "-1", "error: sigma must be finite and nonnegative"),
+        ("case1", "--n", "0", "error: n must be at least 1"),
+        ("case1", "--T", "0", "error: T must be at least 1"),
+        ("case1", "--d", "0", "error: d must be at least 1"),
+        ("case2", "--rho", "-0.5", "error: rho must lie in [0, 1]"),
+        ("case3", "--dims", "2,0,2", "error: dims[1] must be at least 1"),
+        ("cluster", "--rho", "1.5", "error: p_stay must lie in [0, 1]"),
+        ("two-movers", "--rho", "3", "error: transit_prob must lie in [0, 1]"),
+    ],
+)
+def test_simulate_rejects_bad_arguments(tmp_path, capsys, scenario, flag, value, message):
+    out = tmp_path / "x"
+    rc = run_cli(
+        "simulate", "--scenario", scenario, "--T", "3", flag, value, "--out", str(out)
+    )
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(message)
+    assert not out.exists()
+
+
 def test_fit_and_artifacts(tmp_path):
     data = simulate_small(tmp_path)
     out = tmp_path / "fit"

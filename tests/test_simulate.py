@@ -1,5 +1,7 @@
 """Generator contracts: shapes, determinism, frozen-dynamics limits, truth
 bookkeeping, and distributional frequency checks."""
+import re
+
 import numpy as np
 import pytest
 
@@ -154,3 +156,80 @@ def test_two_movers_transit_frequency():
     expect = 0.05 * trials
     sigma3 = 3 * np.sqrt(trials * 0.05 * 0.95)
     assert abs(moves - expect) < sigma3
+
+
+# ----- invalid arguments are rejected with the argument's name -----------------
+
+
+def assert_rejects(gen, name, **kwargs):
+    with pytest.raises(ValueError, match=rf"^{re.escape(name)} must"):
+        gen(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "name, kwargs",
+    [
+        ("rho", {"rho": 1.5}),
+        ("rho", {"rho": -0.1}),
+        ("rho", {"rho": np.nan}),
+        ("sigma", {"sigma": -1.0}),
+        ("sigma", {"sigma": np.inf}),
+        ("sigma", {"sigma": np.nan}),
+        ("n", {"n": 0}),
+        ("p", {"p": 0}),
+        ("T", {"T": 0}),
+        ("d", {"d": 0}),
+    ],
+)
+def test_case1_rejects_bad_arguments(name, kwargs):
+    assert_rejects(gen_case1, name, **{"n": 3, "p": 3, "T": 4, **kwargs})
+
+
+@pytest.mark.parametrize(
+    "name, kwargs",
+    [("rho", {"rho": 2.0}), ("rho", {"rho": -1.0}), ("n", {"n": 0}), ("T", {"T": -1})],
+)
+def test_case2_rejects_bad_arguments(name, kwargs):
+    assert_rejects(gen_case2_network, name, **{"n": 3, "T": 4, **kwargs})
+
+
+@pytest.mark.parametrize(
+    "name, kwargs",
+    [
+        ("rho", {"rho": 1.01}),
+        ("sigma", {"sigma": -0.3}),
+        ("dims[1]", {"dims": (3, 0, 3)}),
+        ("T", {"T": 0}),
+    ],
+)
+def test_case3_rejects_bad_arguments(name, kwargs):
+    assert_rejects(gen_case3_tensor, name, **{"dims": (3, 3, 3), "T": 4, **kwargs})
+
+
+@pytest.mark.parametrize(
+    "name, kwargs",
+    [("p_stay", {"p_stay": 1.2}), ("p_stay", {"p_stay": -0.5}), ("n", {"n": 0}), ("T", {"T": 0})],
+)
+def test_cluster_case_rejects_bad_arguments(name, kwargs):
+    assert_rejects(gen_cluster_case, name, **{"n": 4, "T": 4, **kwargs})
+
+
+@pytest.mark.parametrize(
+    "name, kwargs",
+    [
+        ("transit_prob", {"transit_prob": 1.5}),
+        ("transit_prob", {"transit_prob": -0.05}),
+        ("n", {"n": 0}),
+        ("T", {"T": 0}),
+    ],
+)
+def test_two_movers_rejects_bad_arguments(name, kwargs):
+    assert_rejects(gen_two_movers, name, **{"n": 4, "T": 4, **kwargs})
+
+
+def test_boundary_arguments_are_accepted():
+    gen_case1(1, 1, 1, d=1, rho=0.0, sigma=0.0)
+    gen_case2_network(1, 1, rho=1.0)
+    gen_case3_tensor((1, 1, 1), 1, rho=0.0, sigma=0.0)
+    gen_cluster_case(1, 1, p_stay=0.0)
+    gen_two_movers(1, 1, transit_prob=1.0)
