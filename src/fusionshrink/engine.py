@@ -34,6 +34,7 @@ from .likelihoods import (
     intercept_update,
     logistic_quad_coeff,
     logistic_quad_const,
+    pair_products,
     tensor_sites,
     xi_update,
 )
@@ -106,10 +107,16 @@ class ModeState:
 
 @dataclass
 class AuxState:
-    """Global factors refreshed once per sweep."""
+    """Global factors refreshed once per sweep.
+
+    For the network kind, curv = logistic_quad_coeff(xi) is the tangent
+    bound's curvature A(xi), (T, n, n), set together with xi so the sites,
+    the intercept and the ELBO read it instead of recomputing it.
+    """
 
     noise: InverseGammaQ | None = None
     xi: np.ndarray | None = None
+    curv: np.ndarray | None = None
     intercept: NormalQ | None = None
     shared_trans: InverseGammaQ | None = None
 
@@ -146,19 +153,22 @@ def cp_mean_slice(means_t: list[np.ndarray], sizes: tuple[int, ...]) -> np.ndarr
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic function without overflow: 1/(1 + e^-x) for x >= 0 and
+    e^x/(1 + e^x) below, both from e = exp(-|x|)."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def _link_logits(aux: AuxState, u: np.ndarray) -> np.ndarray:
+    """Network link logits b + u_i' u_j from positions u (..., n, d)."""
+    b = aux.intercept.mean if aux.intercept is not None else 0.0
+    return b + u @ np.swapaxes(u, -1, -2)
 
 
 def _link_probs(fit: FitResult, u: np.ndarray) -> np.ndarray:
     """Network link probabilities from positions u (..., n, d), with the
     structurally absent diagonal zeroed."""
-    b = fit.aux.intercept.mean if fit.aux.intercept is not None else 0.0
-    probs = _sigmoid(b + u @ np.swapaxes(u, -1, -2))
+    probs = _sigmoid(_link_logits(fit.aux, u))
     diag = np.arange(u.shape[-2])
     probs[..., diag, diag] = 0.0
     return probs
@@ -198,6 +208,8 @@ class CaviEngine:
             raise ValueError("d exceeds the smallest mode size")
         if config.intercept and self.kind != "bernoulli-network":
             raise ValueError("the intercept is only defined for the network kind")
+        if self.kind == "bernoulli-network":
+            self._gather_dyads()
         means = self._init_means()
         self.modes: list[ModeState] = []
         for n_m, mean in zip(self.sizes, means):
@@ -224,7 +236,7 @@ class CaviEngine:
         self.aux = AuxState()
         if self.kind == "bernoulli-network":
             n = self.sizes[0]
-            self.aux.xi = np.ones((self.T, n, n))
+            self._set_xi(np.ones((self.T, n, n)))
             if config.intercept:
                 self.aux.intercept = NormalQ(0.0, config.intercept_prior_var)
         else:
@@ -233,6 +245,24 @@ class CaviEngine:
             self.aux.shared_trans = InverseGammaQ(config.a_trans, config.b_trans)
 
     # ----- initialisation -------------------------------------------------
+
+    def _gather_dyads(self) -> None:
+        """Upper-triangle dyads (i < j) and their labels, time-major and
+        restricted to observed dyads, which must hold an edge and a non-edge
+        (the training AUC needs both)."""
+        iu = self._dyads = np.triu_indices(self.sizes[0], k=1)
+        labels = self.obs.values[:, iu[0], iu[1]].ravel()
+        self._dyad_keep = None
+        if self.obs.mask is not None:
+            self._dyad_keep = self.obs.mask[:, iu[0], iu[1]].ravel() > 0
+            labels = labels[self._dyad_keep]
+        if not (labels == 1).any() or not (labels == 0).any():
+            raise ValueError(
+                f"network data must hold an edge and a non-edge among the "
+                f"observed dyads; found {int(labels.sum())} edge(s) in "
+                f"{labels.size} observed dyad(s)"
+            )
+        self._dyad_labels = labels
 
     def _init_means(self) -> list[np.ndarray]:
         """Spectral warm start: per-time rank-d factors of the data slices
@@ -329,7 +359,7 @@ class CaviEngine:
             return bernoulli_site_subject(
                 self.obs.values,
                 self._moments(0),
-                self.aux.xi,
+                self.aux.curv,
                 i,
                 self.cfg.alpha,
                 intercept_mean=b,
@@ -421,15 +451,19 @@ class CaviEngine:
             self._store_chain_mode(m, mean, cov, cross)
             self._update_scales(m, slice(None))
 
+    def _set_xi(self, xi: np.ndarray) -> None:
+        self.aux.xi = xi
+        self.aux.curv = logistic_quad_coeff(xi)
+
     def refresh_aux(self) -> None:
         cfg = self.cfg
         if self.kind == "bernoulli-network":
-            self.aux.xi = xi_update(self._moments(0), self.aux.intercept)
+            self._set_xi(xi_update(self._moments(0), self.aux.intercept))
             if cfg.intercept:
                 self.aux.intercept = intercept_update(
                     self.obs.values,
                     self._moments(0),
-                    self.aux.xi,
+                    self.aux.curv,
                     cfg.alpha,
                     cfg.intercept_prior_var,
                     self.obs.mask,
@@ -469,18 +503,21 @@ class CaviEngine:
         return predict_stack(self._fit_view())
 
     def metric(self) -> float:
-        """In-sample RMSE (Gaussian kinds) or training AUC (network)."""
-        pred = self.predict_stack()
+        """In-sample RMSE (Gaussian kinds) or training AUC (network).
+
+        The network AUC scores only the observed upper-triangle dyads: the
+        logits come from the same product as predict_stack, and the sigmoid
+        runs on the kept dyads alone, so the value equals the AUC of
+        predict_stack's upper triangle bit for bit.
+        """
         if self.kind != "bernoulli-network":
-            return rmse(pred, self.obs.values, self.obs.mask)
-        n = self.sizes[0]
-        iu = np.triu_indices(n, k=1)
-        scores = pred[:, iu[0], iu[1]].ravel()
-        labels = self.obs.values[:, iu[0], iu[1]].ravel()
-        if self.obs.mask is not None:
-            keep = self.obs.mask[:, iu[0], iu[1]].ravel() > 0
-            scores, labels = scores[keep], labels[keep]
-        return auc(scores, labels)
+            return rmse(self.predict_stack(), self.obs.values, self.obs.mask)
+        iu = self._dyads
+        u = np.swapaxes(self.modes[0].mean, 0, 1)  # (T, n, d)
+        logits = _link_logits(self.aux, u)[:, iu[0], iu[1]].ravel()
+        if self._dyad_keep is not None:
+            logits = logits[self._dyad_keep]
+        return auc(_sigmoid(logits), self._dyad_labels)
 
     def elbo(self) -> float:
         """Evidence lower bound: exact for the Gaussian kinds, the tangent
@@ -495,14 +532,12 @@ class CaviEngine:
         cfg = self.cfg
         d = cfg.d
         if self.kind == "bernoulli-network":
-            iu = np.triu_indices(self.sizes[0], k=1)
+            iu = self._dyads
             mom = self._moments(0)
             xi = self.aux.xi[:, iu[0], iu[1]]
-            a = logistic_quad_coeff(xi)
-            inner = np.einsum("itd,jtd->tij", mom.mean, mom.mean)
-            pair_sq = np.einsum("itab,jtab->tij", mom.second, mom.second)
-            inner = inner[:, iu[0], iu[1]]
-            pair_sq = pair_sq[:, iu[0], iu[1]]
+            a = self.aux.curv[:, iu[0], iu[1]]
+            inner = pair_products(mom.mean)[:, iu[0], iu[1]]
+            pair_sq = pair_products(mom.second)[:, iu[0], iu[1]]
             b = self.aux.intercept
             mb = float(b.mean) if b is not None else 0.0
             eb2 = float(b.second_moment) if b is not None else 0.0

@@ -11,8 +11,10 @@ Three observation kinds share one inference engine:
 Each builder reduces its likelihood (raised to the fractional power alpha)
 to per-time natural-parameter evidence for one latent mode, holding every
 other factor at its current variational moments.  The Bernoulli case uses
-the logistic tangent (quadratic) bound with per-edge curvature parameters
-xi, so its sites are exact for the bounded likelihood.
+the logistic tangent (quadratic) bound with per-edge tangent parameters
+xi, so its sites are exact for the bounded likelihood.  The sites and the
+intercept take the bound's curvature A(xi) (logistic_quad_coeff), which
+the engine computes once per refresh of xi.
 """
 from __future__ import annotations
 
@@ -135,11 +137,11 @@ def logistic_quad_coeff(xi: np.ndarray | float) -> np.ndarray | float:
     """Curvature A(xi) = -tanh(xi/2) / (4 xi) of the logistic quadratic
     bound, with the removable singularity A(0) = -1/8 handled exactly."""
     x = np.asarray(xi, dtype=float)
-    out = np.empty_like(x)
     small = np.abs(x) < 1e-6
     xs = np.where(small, 1.0, x)
     out = np.where(small, -0.125 + x**2 / 96.0, -np.tanh(xs / 2.0) / (4.0 * xs))
     return out if out.ndim else float(out)
+
 
 def logistic_quad_const(xi: np.ndarray | float) -> np.ndarray | float:
     """Constant C(xi) of the bound
@@ -185,10 +187,23 @@ def gaussian_matrix_sites(
     return w * prec, w * shift
 
 
+def pair_products(x: np.ndarray) -> np.ndarray:
+    """Inner products of every pair of subjects at every time.
+
+    x is (n, T, ...); its trailing axes are flattened, so E[u u'] (n, T, d, d)
+    gives tr(E[u_it u_it'] E[u_jt u_jt']).  Returns (T, n, n) with
+    [t, i, j] = <x_it, x_jt>, as one batched matmul of the time-major rows
+    with their transpose.
+    """
+    n, T = x.shape[:2]
+    rows = x.reshape(n, T, -1).transpose(1, 0, 2)  # (T, n, k)
+    return rows @ rows.transpose(0, 2, 1)
+
+
 def bernoulli_site_subject(
     Y: np.ndarray,
     moments: ModeMoments,
-    xi: np.ndarray,
+    curv: np.ndarray,
     subject: int,
     alpha: float,
     intercept_mean: float = 0.0,
@@ -196,14 +211,15 @@ def bernoulli_site_subject(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Evidence for one network subject under the tangent bound.
 
-    Y, xi are (T, n, n); sums run over partners j != subject (and the mask
-    when given).  Returns (T, d, d) precision and (T, d) shift:
+    Y and the curvature curv = A(xi) = logistic_quad_coeff(xi) are (T, n, n);
+    sums run over partners j != subject (and the mask when given).  Returns
+    (T, d, d) precision and (T, d) shift:
 
         P_it = -2 alpha sum_j A(xi_ijt) E[u_jt u_jt'],
         h_it = alpha sum_j (Y_ijt - 1/2 + 2 A(xi_ijt) mu_b) E[u_jt].
     """
     T, n, _ = Y.shape
-    a = logistic_quad_coeff(xi[:, subject, :])  # (T, n)
+    a = curv[:, subject, :]  # (T, n)
     wgt = np.ones((T, n))
     wgt[:, subject] = 0.0
     if mask is not None:
@@ -223,9 +239,9 @@ def xi_update(
     adds E[b^2] + 2 mu_b mu_u' mu_v.  Returns (T, n, n) with unit diagonal
     (the diagonal is never consumed).
     """
-    second = np.einsum("itab,jtab->tij", moments.second, moments.second)
+    second = pair_products(moments.second)
     if intercept_q is not None:
-        inner = np.einsum("itd,jtd->tij", moments.mean, moments.mean)
+        inner = pair_products(moments.mean)
         second = second + intercept_q.second_moment + 2.0 * intercept_q.mean * inner
     second = np.maximum(second, 0.0)
     xi = np.sqrt(second)
@@ -237,22 +253,23 @@ def xi_update(
 def intercept_update(
     Y: np.ndarray,
     moments: ModeMoments,
-    xi: np.ndarray,
+    curv: np.ndarray,
     alpha: float,
     prior_var: float = 100.0,
     mask: np.ndarray | None = None,
 ) -> NormalQ:
     """Network intercept factor under the tangent bound and a N(0, prior_var)
-    prior.  Each dyad (i < j) contributes once:
+    prior, given the (T, n, n) curvature curv = A(xi) = logistic_quad_coeff(xi).
+    Each dyad (i < j) contributes once:
 
         precision = 1/prior_var - 2 alpha sum A(xi),
         mean = var * alpha * sum (Y - 1/2 + 2 A(xi) E[u_i' u_j]).
     """
     T, n, _ = Y.shape
     iu = np.triu_indices(n, k=1)
-    a = logistic_quad_coeff(xi)[:, iu[0], iu[1]]
+    a = curv[:, iu[0], iu[1]]
     wgt = np.ones_like(a) if mask is None else mask[:, iu[0], iu[1]]
-    inner = np.einsum("itd,jtd->tij", moments.mean, moments.mean)[:, iu[0], iu[1]]
+    inner = pair_products(moments.mean)[:, iu[0], iu[1]]
     prec = 1.0 / prior_var - 2.0 * alpha * np.sum(a * wgt)
     lin = alpha * np.sum((Y[:, iu[0], iu[1]] - 0.5 + 2.0 * a * inner) * wgt)
     return NormalQ(mean=lin / prec, var=1.0 / prec)

@@ -138,6 +138,18 @@ def test_fit_non_finite_data_exits_2(tmp_path, capsys):
     assert "nan at index (1, 2, 3)" in err
 
 
+def test_fit_network_without_edges_exits_2(tmp_path, capsys):
+    data = simulate_small(tmp_path, scenario="cluster")
+    for slice_path in sorted(data.glob("t[0-9]*.txt")):
+        np.savetxt(slice_path, np.zeros((4, 4)))
+    out = tmp_path / "o"
+    rc = run_cli("fit", "--data", str(data), "--kind", "bernoulli", "--out", str(out))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: network data must hold an edge and a non-edge")
+    assert not out.exists()
+
+
 def test_network_fit_with_intercept(tmp_path):
     data = simulate_small(tmp_path, scenario="cluster")
     out = tmp_path / "fit_net"

@@ -3,7 +3,9 @@ import numpy as np
 import pytest
 
 from fusionshrink import engine as engine_module
+from fusionshrink import simulate as simulate_module
 from fusionshrink.chain import chain_entropy, smooth_core
+from fusionshrink.cli import main as cli_main
 from fusionshrink.engine import (
     AuxState,
     CaviEngine,
@@ -15,7 +17,8 @@ from fusionshrink.engine import (
     predict_mean,
     predict_stack,
 )
-from fusionshrink.likelihoods import ObservationSet
+from fusionshrink.likelihoods import ObservationSet, logistic_quad_coeff
+from fusionshrink.metrics import auc
 from fusionshrink.scales import InverseGammaQ
 
 
@@ -453,3 +456,117 @@ def test_batched_chain_entropy_matches_loop(kind, prior):
         batched = chain_entropy(st.cov, st.cross)
         loop = chain_entropy_loop(st.cov, st.cross)
         assert np.max(np.abs(batched - loop) / np.abs(loop)) <= 1e-12
+
+
+# ----- network dyad statistics: cached curvature, dyad-only metric ---------------
+
+
+def masked_network_obs(rng, T, n, keep=0.8):
+    obs = network_obs(rng, T, n)
+    mask = np.triu((rng.random(obs.values.shape) < keep).astype(float), 1)
+    mask = mask + np.swapaxes(mask, 1, 2)
+    return ObservationSet(kind="bernoulli-network", values=obs.values, mask=mask)
+
+
+@pytest.mark.parametrize("intercept", [False, True])
+def test_cached_curvature_follows_xi(intercept):
+    rng = np.random.default_rng(50)
+    eng = CaviEngine(network_obs(rng, 6, 9), ModelConfig(d=2, intercept=intercept))
+    np.testing.assert_array_equal(eng.aux.curv, logistic_quad_coeff(eng.aux.xi))
+    for _ in range(3):
+        eng.sweep()  # ends with refresh_aux
+        np.testing.assert_array_equal(eng.aux.curv, logistic_quad_coeff(eng.aux.xi))
+        eng.refresh_aux()
+        np.testing.assert_array_equal(eng.aux.curv, logistic_quad_coeff(eng.aux.xi))
+
+
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("intercept", [False, True])
+def test_network_metric_is_auc_of_predicted_upper_triangle(masked, intercept):
+    rng = np.random.default_rng(51)
+    obs = masked_network_obs(rng, 7, 10) if masked else network_obs(rng, 7, 10)
+    eng = CaviEngine(obs, ModelConfig(d=2, intercept=intercept))
+    iu = np.triu_indices(10, k=1)
+    for scale in (1.0, 1.0, 1.0, 6.0):
+        eng.sweep()
+        # Scaled positions push logits past 37, where the sigmoid rounds to
+        # 1.0 and ties scores that the logits alone would still rank.
+        eng.modes[0].mean *= scale
+        scores = eng.predict_stack()[:, iu[0], iu[1]].ravel()
+        labels = obs.values[:, iu[0], iu[1]].ravel()
+        if masked:
+            keep = obs.mask[:, iu[0], iu[1]].ravel() > 0
+            scores, labels = scores[keep], labels[keep]
+        assert eng.metric() == auc(scores, labels)
+
+
+def old_sigmoid(x):
+    """The masked two-branch logistic the branch-free form replaced."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_matches_masked_formula_bit_for_bit():
+    rng = np.random.default_rng(52)
+    edges = np.array(
+        [0.0, -0.0, 1e-300, -1e-300, 36.0, -36.0, 709.0, -709.0, 800.0, -800.0]
+    )
+    grid = np.concatenate(
+        [edges, rng.standard_normal(5000) * 10.0, rng.uniform(-40.0, 40.0, 5000)]
+    )
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        got = engine_module._sigmoid(grid)  # exp(-800) may only underflow
+    ref = old_sigmoid(grid)
+    assert got.tobytes() == ref.tobytes()
+    shaped = grid[:10_000].reshape(10, 40, 25)
+    assert engine_module._sigmoid(shaped).tobytes() == old_sigmoid(shaped).tobytes()
+
+
+@pytest.mark.parametrize("scenario", ["case2", "cluster", "two-movers"])
+def test_simulated_networks_unchanged_by_branch_free_sigmoid(
+    tmp_path, monkeypatch, scenario
+):
+    def write(out):
+        argv = ["simulate", "--scenario", scenario, "--n", "12", "--T", "15",
+                "--seed", "7", "--out", str(out)]
+        assert cli_main(argv) == 0
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    current = write(tmp_path / "current")
+    monkeypatch.setattr(simulate_module, "_sigmoid", old_sigmoid)
+    assert write(tmp_path / "old") == current
+
+
+@pytest.mark.parametrize(
+    "values, mask, found",
+    [
+        ("empty", None, "found 0 edge(s) in 45 observed dyad(s)"),
+        ("complete", None, "found 45 edge(s) in 45 observed dyad(s)"),
+        ("random", "none", "found 0 edge(s) in 0 observed dyad(s)"),
+    ],
+)
+def test_degenerate_network_rejected_before_warm_start(monkeypatch, values, mask, found):
+    rng = np.random.default_rng(53)
+    obs = network_obs(rng, 3, 6)
+    vals = {
+        "empty": np.zeros((3, 6, 6)),
+        "complete": np.broadcast_to(1.0 - np.eye(6), (3, 6, 6)),
+        "random": obs.values,
+    }[values]
+    obs = ObservationSet(
+        kind="bernoulli-network",
+        values=vals,
+        mask=None if mask is None else np.zeros((3, 6, 6)),
+    )
+
+    def no_warm_start(self):
+        raise AssertionError("the warm start ran on degenerate data")
+
+    monkeypatch.setattr(CaviEngine, "_init_means", no_warm_start)
+    with pytest.raises(ValueError, match="an edge and a non-edge") as info:
+        CaviEngine(obs, ModelConfig(d=2))
+    assert found in str(info.value)

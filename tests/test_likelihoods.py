@@ -15,6 +15,7 @@ from fusionshrink.likelihoods import (
     intercept_update,
     logistic_quad_coeff,
     logistic_quad_const,
+    pair_products,
     predicted_moments,
     tensor_sites,
     unfold,
@@ -262,7 +263,9 @@ def test_bernoulli_single_edge_plugin():
     Y = np.zeros((T, n, n))
     Y[0, 0, 1] = Y[0, 1, 0] = 1.0
     xi = np.zeros((T, n, n))
-    P, h = bernoulli_site_subject(Y, moments, xi, subject=0, alpha=1.0)
+    P, h = bernoulli_site_subject(
+        Y, moments, logistic_quad_coeff(xi), subject=0, alpha=1.0
+    )
     np.testing.assert_allclose(P[0], 0.25 * np.eye(d), atol=1e-12)
     np.testing.assert_allclose(h[0], [0.5, 0.0], atol=1e-12)
 
@@ -275,7 +278,9 @@ def test_bernoulli_sites_always_psd():
     Y = np.triu(vals, 1) + np.swapaxes(np.triu(vals, 1), 1, 2)
     xi = rng.uniform(0.0, 5.0, (T, n, n))
     for i in range(n):
-        P, _ = bernoulli_site_subject(Y, moments, xi, subject=i, alpha=0.95)
+        P, _ = bernoulli_site_subject(
+            Y, moments, logistic_quad_coeff(xi), subject=i, alpha=0.95
+        )
         assert np.linalg.eigvalsh(P).min() > -1e-10
 
 
@@ -287,8 +292,10 @@ def test_bernoulli_excludes_self_and_mask():
     xi = np.ones((T, n, n))
     mask = np.ones((T, n, n))
     mask[:, 0, 2] = mask[:, 2, 0] = 0.0
-    P_all, h_all = bernoulli_site_subject(Y, moments, xi, 0, 1.0)
-    P_m, h_m = bernoulli_site_subject(Y, moments, xi, 0, 1.0, mask=mask)
+    P_all, h_all = bernoulli_site_subject(Y, moments, logistic_quad_coeff(xi), 0, 1.0)
+    P_m, h_m = bernoulli_site_subject(
+        Y, moments, logistic_quad_coeff(xi), 0, 1.0, mask=mask
+    )
     a = logistic_quad_coeff(1.0)
     # removing partner 2 subtracts its exact contribution
     np.testing.assert_allclose(
@@ -300,6 +307,20 @@ def test_bernoulli_excludes_self_and_mask():
 
 
 # ----- xi and intercept -------------------------------------------------------
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_pair_products_match_einsum_forms(d):
+    rng = np.random.default_rng(60)
+    moments = random_moments(rng, 9, 6, d)
+    inner = np.einsum("itd,jtd->tij", moments.mean, moments.mean)
+    pair_sq = np.einsum("itab,jtab->tij", moments.second, moments.second)
+    for got, ref in (
+        (pair_products(moments.mean), inner),
+        (pair_products(moments.second), pair_sq),
+    ):
+        assert got.shape == (6, 9, 9)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_xi_point_mass_and_trace():
@@ -341,7 +362,10 @@ def test_intercept_no_observations_returns_prior():
     )
     Y = np.zeros((1, 3, 3))
     xi = np.ones((1, 3, 3))
-    q = intercept_update(Y, moments, xi, alpha=1.0, prior_var=9.0, mask=np.zeros((1, 3, 3)))
+    q = intercept_update(
+        Y, moments, logistic_quad_coeff(xi), alpha=1.0, prior_var=9.0,
+        mask=np.zeros((1, 3, 3)),
+    )
     assert q.mean == pytest.approx(0.0)
     assert q.var == pytest.approx(9.0)
 
@@ -354,7 +378,9 @@ def test_intercept_single_obs_plugin():
     Y = np.zeros((1, 2, 2))
     Y[0, 0, 1] = Y[0, 1, 0] = 1.0
     xi = np.zeros((1, 2, 2))
-    q = intercept_update(Y, moments, xi, alpha=1.0, prior_var=1e12)
+    q = intercept_update(
+        Y, moments, logistic_quad_coeff(xi), alpha=1.0, prior_var=1e12
+    )
     assert q.mean == pytest.approx(2.0, abs=1e-9)
     assert q.var == pytest.approx(4.0, abs=1e-9)
 
@@ -368,7 +394,7 @@ def test_intercept_maximises_tangent_bound():
     xi = xi_update(moments)
     alpha = 0.9
     prior_var = 50.0
-    q = intercept_update(Y, moments, xi, alpha, prior_var)
+    q = intercept_update(Y, moments, logistic_quad_coeff(xi), alpha, prior_var)
 
     iu = np.triu_indices(n, k=1)
     a = logistic_quad_coeff(xi)[:, iu[0], iu[1]]
