@@ -4,12 +4,14 @@ One engine serves all three observation kinds.  The variational family
 factorises over subjects; each subject keeps its whole latent trajectory
 as a jointly Gaussian chain, and every scale in the shrinkage hierarchy is
 an inverse-gamma factor.  An outer cycle sweeps the latent modes in
-ascending index and the subjects within a mode in ascending index; each
-subject block runs `inner_iters` rounds of (site build -> chain smooth ->
-scale updates).  After a full sweep the global factors (noise variance,
-tangent parameters, intercept, shared transition variance) refresh, the
-fit metric is recorded, and the loop stops when the metric change drops
-below tolerance.
+ascending index.  A network mode's blocks are its subjects in ascending
+index (a subject's site holds its partners' moments); a Gaussian mode is
+one block of all its subjects, which are independent given the other
+modes.  Each block builds its site once, then runs `inner_iters` rounds of
+(chain smooth -> scale updates).  After a full sweep the global factors
+(noise variance, tangent parameters, intercept, shared transition
+variance) refresh, the fit metric is recorded, and the loop stops when the
+metric change drops below tolerance.
 
 All updates are deterministic given the data and config, so repeated runs
 produce identical arrays.  The likelihood enters raised to the fractional
@@ -29,7 +31,6 @@ from .likelihoods import (
     ObservationSet,
     bernoulli_site_subject,
     expected_sse,
-    gaussian_matrix_sites,
     gaussian_noise_update,
     intercept_update,
     logistic_quad_coeff,
@@ -89,6 +90,13 @@ class ModelConfig:
             raise ValueError(f"prior must be one of {PRIORS}")
         if self.inner_iters < 1 or self.max_cycles < 1:
             raise ValueError("inner_iters and max_cycles must be >= 1")
+        for name in (
+            "intercept_prior_var", "a_sigma0", "b_sigma0", "a_sigma", "b_sigma",
+            "a_trans", "b_trans", "init_cov",
+        ):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 @dataclass
@@ -134,7 +142,29 @@ class FitResult:
 
 def _rows(q: InverseGammaQ, rows: int | slice) -> InverseGammaQ:
     """The factors of the given subjects, from a factor array over subjects."""
-    return InverseGammaQ(np.asarray(q.shape)[rows], np.asarray(q.rate)[rows])
+    return InverseGammaQ(q.shape[rows], q.rate[rows])
+
+
+def _ig_term(q: InverseGammaQ, a: float, e_log_b, e_b) -> float:
+    """E_q[log IG(x; a, b)] + H[q], summed over the factor's entries, for a
+    rate b that may itself be random: E[log b] and E[b] are given."""
+    return float(
+        np.sum(
+            a * e_log_b
+            - gammaln(a)
+            - (a + 1.0) * q.mean_log
+            - e_b * q.mean_inverse
+            + q.entropy
+        )
+    )
+
+
+def _gauss_term(k: float, e_log_v, e_inv_v, sq) -> float:
+    """E[log N(x; 0, v I_k)] summed over entries, given E[log v], E[1/v]
+    and E||x||^2 = sq."""
+    return float(
+        np.sum(-0.5 * k * (np.log(2 * np.pi) + e_log_v) - 0.5 * e_inv_v * sq)
+    )
 
 
 def _second_from(mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
@@ -321,68 +351,35 @@ class CaviEngine:
             tau2 = _rows(st.tau2, rows)
             rho = transition_precisions(
                 _rows(st.lambda2, rows),
-                InverseGammaQ(
-                    np.asarray(tau2.shape)[..., None],
-                    np.asarray(tau2.rate)[..., None],
-                ),
+                InverseGammaQ(tau2.shape[..., None], tau2.rate[..., None]),
             )
         return rho0, rho
 
-    def _site_for_mode(self, m: int) -> tuple[np.ndarray, np.ndarray]:
-        Y, mask = self.obs.values, self.obs.mask
-        if self.kind == "gaussian-matrix":
-            if m == 0:
-                return gaussian_matrix_sites(
-                    Y, self._moments(1), self.aux.noise, self.cfg.alpha, mask
-                )
-            return gaussian_matrix_sites(
-                np.swapaxes(Y, 1, 2),
-                self._moments(0),
-                self.aux.noise,
-                self.cfg.alpha,
-                None if mask is None else np.swapaxes(mask, 1, 2),
-            )
-        if self.kind == "gaussian-tensor":
-            return tensor_sites(
-                Y,
-                [self._moments(k) for k in range(len(self.sizes))],
-                self.aux.noise,
-                self.cfg.alpha,
-                m,
-                mask,
-            )
-        raise ValueError("network sites are built per subject")
-
-    def _site_for_subject(self, m: int, i: int) -> tuple[np.ndarray, np.ndarray]:
+    def _sites(self, m: int, rows: int | slice) -> tuple[np.ndarray, np.ndarray]:
+        """Site precisions and shifts of mode m's subjects `rows`: one
+        subject for the network kind, any rows for the Gaussian kinds."""
         if self.kind == "bernoulli-network":
             b = self.aux.intercept.mean if self.aux.intercept is not None else 0.0
             return bernoulli_site_subject(
                 self.obs.values,
                 self._moments(0),
                 self.aux.curv,
-                i,
+                rows,
                 self.cfg.alpha,
                 intercept_mean=b,
                 mask=self.obs.mask,
             )
-        P, h = self._site_for_mode(m)
-        return P[i], h[i]
+        P, h = tensor_sites(
+            self.obs.values,
+            [self._moments(k) for k in range(len(self.sizes))],
+            self.aux.noise,
+            self.cfg.alpha,
+            m,
+            self.obs.mask,
+        )
+        return P[rows], h[rows]
 
     # ----- scale updates ---------------------------------------------------
-
-    def _store_chain_mode(
-        self, m: int, mean: np.ndarray, cov: np.ndarray, cross: np.ndarray
-    ) -> None:
-        st = self.modes[m]
-        st.mean, st.cov, st.cross = mean, cov, cross
-        self.second[m] = _second_from(mean, cov)
-
-    def _store_chain_subject(
-        self, m: int, i: int, mean: np.ndarray, cov: np.ndarray, cross: np.ndarray
-    ) -> None:
-        st = self.modes[m]
-        st.mean[i], st.cov[i], st.cross[i] = mean, cov, cross
-        self.second[m][i] = _second_from(mean, cov)
 
     def _update_scales(self, m: int, rows: int | slice) -> None:
         """Conjugate scale updates for the given subjects, from their stored
@@ -396,7 +393,7 @@ class CaviEngine:
             lam_new = update_lambda2(
                 eta_new,
                 e_trans,
-                np.asarray(_rows(st.tau2, rows).mean_inverse)[..., None],
+                _rows(st.tau2, rows).mean_inverse[..., None],
                 cfg.d,
             )
             tau_new, aux_new = update_tau2(
@@ -408,48 +405,33 @@ class CaviEngine:
                 (st.tau2, tau_new),
                 (st.tau_aux, aux_new),
             ):
-                np.asarray(q.shape)[rows] = new.shape
-                np.asarray(q.rate)[rows] = new.rate
+                q.shape[rows] = new.shape
+                q.rate[rows] = new.rate
         e_norm1 = np.sum(mean[..., 0, :] ** 2, axis=-1) + np.trace(
             cov[..., 0, :, :], axis1=-2, axis2=-1
         )
         sig_new = update_sigma0(e_norm1, cfg.d, cfg.a_sigma0, cfg.b_sigma0)
-        np.asarray(st.sigma0.shape)[rows] = sig_new.shape
-        np.asarray(st.sigma0.rate)[rows] = sig_new.rate
+        st.sigma0.shape[rows] = sig_new.shape
+        st.sigma0.rate[rows] = sig_new.rate
 
     # ----- block updates ---------------------------------------------------
 
-    def block_update_subject(self, mode: int, subject: int) -> None:
-        """One inner iteration for one subject: site build, chain smooth,
-        scale updates.  Idempotent at a fixed point of the block."""
-        P, h = self._site_for_subject(mode, subject)
-        rho0, rho = self._chain_rhos(mode, subject)
-        mean, cov, cross = smooth_core(rho0, rho, P, h)
-        self._store_chain_subject(mode, subject, mean, cov, cross)
-        self._update_scales(mode, subject)
-
     def _update_mode(self, m: int) -> None:
-        if self.kind == "bernoulli-network":
-            n = self.sizes[0]
-            for i in range(n):
-                # Partners' moments are frozen while subject i iterates, so
-                # its site is built once per block.
-                P, h = self._site_for_subject(m, i)
-                for _ in range(self.cfg.inner_iters):
-                    rho0, rho = self._chain_rhos(m, i)
-                    mean, cov, cross = smooth_core(rho0, rho, P, h)
-                    self._store_chain_subject(m, i, mean, cov, cross)
-                    self._update_scales(m, i)
-            return
-        # Gaussian modes: subject blocks within a mode are mutually
-        # independent (sites depend only on the other modes), so the
-        # ascending-subject block loop vectorises without changing the math.
-        P, h = self._site_for_mode(m)
-        for _ in range(self.cfg.inner_iters):
-            rho0, rho = self._chain_rhos(m)
-            mean, cov, cross = smooth_core(rho0, rho, P, h)
-            self._store_chain_mode(m, mean, cov, cross)
-            self._update_scales(m, slice(None))
+        """One pass over mode m's blocks.  The network's blocks are its
+        subjects in ascending order (Gauss-Seidel); a Gaussian mode is one
+        block, since its subjects are independent given the other modes.
+        The other subjects' moments are frozen while a block iterates, so
+        its site is built once."""
+        st = self.modes[m]
+        network = self.kind == "bernoulli-network"
+        for rows in range(self.sizes[m]) if network else (slice(None),):
+            P, h = self._sites(m, rows)
+            for _ in range(self.cfg.inner_iters):
+                rho0, rho = self._chain_rhos(m, rows)
+                mean, cov, cross = smooth_core(rho0, rho, P, h)
+                st.mean[rows], st.cov[rows], st.cross[rows] = mean, cov, cross
+                self.second[m][rows] = _second_from(mean, cov)
+                self._update_scales(m, rows)
 
     def _set_xi(self, xi: np.ndarray) -> None:
         self.aux.xi = xi
@@ -551,92 +533,45 @@ class CaviEngine:
             total = cfg.alpha * float(edge.sum())
             if b is not None:
                 v0 = cfg.intercept_prior_var
-                total += -0.5 * (np.log(2 * np.pi * v0) + float(b.second_moment) / v0)
+                total += _gauss_term(1, np.log(v0), 1.0 / v0, b.second_moment)
                 total += 0.5 * (1.0 + np.log(2 * np.pi * float(b.var)))
         else:
             noise = self.aux.noise
-            n_obs = self.obs.count_observed()
             sse = expected_sse(
                 self.obs, [self._moments(k) for k in range(len(self.sizes))]
             )
-            e_log_s2 = float(noise.mean_log)
-            e_inv_s2 = float(noise.mean_inverse)
-            total = -0.5 * cfg.alpha * (
-                n_obs * (np.log(2 * np.pi) + e_log_s2) + e_inv_s2 * sse
+            total = cfg.alpha * _gauss_term(
+                self.obs.count_observed(), noise.mean_log, noise.mean_inverse, sse
             )
-            # Noise prior and entropy.
-            total += (
-                cfg.a_sigma * np.log(cfg.b_sigma)
-                - gammaln(cfg.a_sigma)
-                - (cfg.a_sigma + 1.0) * e_log_s2
-                - cfg.b_sigma * e_inv_s2
-            )
-            total += float(noise.entropy)
+            total += _ig_term(noise, cfg.a_sigma, np.log(cfg.b_sigma), cfg.b_sigma)
+        shared = self.aux.shared_trans
         if cfg.prior == "iglsm":
-            sh = self.aux.shared_trans
-            e_log_sa = float(sh.mean_log)
-            e_inv_sa = float(sh.mean_inverse)
-            total += (
-                cfg.a_trans * np.log(cfg.b_trans)
-                - gammaln(cfg.a_trans)
-                - (cfg.a_trans + 1.0) * e_log_sa
-                - cfg.b_trans * e_inv_sa
-            )
-            total += float(sh.entropy)
-        lg_half = gammaln(0.5)
+            total += _ig_term(shared, cfg.a_trans, np.log(cfg.b_trans), cfg.b_trans)
         for st in self.modes:
             e_trans = all_expected_transition_sq(st.mean, st.cov, st.cross)
             e_norm1 = np.sum(st.mean[:, 0] ** 2, axis=-1) + np.trace(
                 st.cov[:, 0], axis1=-2, axis2=-1
             )
-            s0_log = np.asarray(st.sigma0.mean_log)
-            s0_inv = np.asarray(st.sigma0.mean_inverse)
-            total += np.sum(
-                -0.5 * d * (np.log(2 * np.pi) + s0_log) - 0.5 * s0_inv * e_norm1
-            )
-            total += np.sum(
-                cfg.a_sigma0 * np.log(cfg.b_sigma0)
-                - gammaln(cfg.a_sigma0)
-                - (cfg.a_sigma0 + 1.0) * s0_log
-                - cfg.b_sigma0 * s0_inv
-                + np.asarray(st.sigma0.entropy)
-            )
+            s0 = st.sigma0
+            total += _gauss_term(d, s0.mean_log, s0.mean_inverse, e_norm1)
+            total += _ig_term(s0, cfg.a_sigma0, np.log(cfg.b_sigma0), cfg.b_sigma0)
             if cfg.prior == "iglsm":
-                e_log_sa = float(self.aux.shared_trans.mean_log)
-                e_inv_sa = float(self.aux.shared_trans.mean_inverse)
-                total += np.sum(
-                    -0.5 * d * (np.log(2 * np.pi) + e_log_sa)
-                    - 0.5 * e_inv_sa * e_trans
-                )
+                total += _gauss_term(d, shared.mean_log, shared.mean_inverse, e_trans)
             else:
-                l_log = np.asarray(st.lambda2.mean_log)
-                l_inv = np.asarray(st.lambda2.mean_inverse)
-                t_log = np.asarray(st.tau2.mean_log)[:, None]
-                t_inv = np.asarray(st.tau2.mean_inverse)[:, None]
-                e_log = np.asarray(st.eta.mean_log)
-                e_inv = np.asarray(st.eta.mean_inverse)
-                x_log = np.asarray(st.tau_aux.mean_log)
-                x_inv = np.asarray(st.tau_aux.mean_inverse)
-                # Transition likelihood under the scale product.
-                total += np.sum(
-                    -0.5 * d * (np.log(2 * np.pi) + t_log + l_log)
-                    - 0.5 * t_inv * l_inv * e_trans
+                lam, eta, tau2, aux = st.lambda2, st.eta, st.tau2, st.tau_aux
+                # Transitions under the scale product tau^2 lambda^2, then
+                # lambda^2 | eta ~ IG(1/2, 1/eta), eta ~ IG(1/2, 1) and the
+                # same pair for tau^2 and its auxiliary.
+                total += _gauss_term(
+                    d,
+                    tau2.mean_log[:, None] + lam.mean_log,
+                    tau2.mean_inverse[:, None] * lam.mean_inverse,
+                    e_trans,
                 )
-                # lambda^2 | eta and eta priors.
-                total += np.sum(
-                    -0.5 * e_log - lg_half - 1.5 * l_log - e_inv * l_inv
-                )
-                total += np.sum(-lg_half - 1.5 * e_log - e_inv)
-                # tau^2 | aux and aux priors.
-                total += np.sum(
-                    -0.5 * x_log
-                    - lg_half
-                    - 1.5 * np.asarray(st.tau2.mean_log)
-                    - x_inv * np.asarray(st.tau2.mean_inverse)
-                )
-                total += np.sum(-lg_half - 1.5 * x_log - x_inv)
-                for q in (st.lambda2, st.eta, st.tau2, st.tau_aux):
-                    total += np.sum(np.asarray(q.entropy))
+                total += _ig_term(lam, 0.5, -eta.mean_log, eta.mean_inverse)
+                total += _ig_term(eta, 0.5, 0.0, 1.0)
+                total += _ig_term(tau2, 0.5, -aux.mean_log, aux.mean_inverse)
+                total += _ig_term(aux, 0.5, 0.0, 1.0)
             total += float(np.sum(chain_entropy(st.cov, st.cross)))
         return float(total)
 

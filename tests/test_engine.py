@@ -1,10 +1,11 @@
 """Engine-level checks: wiring, fixed points, ELBO monotonicity, determinism."""
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from fusionshrink import engine as engine_module
 from fusionshrink import simulate as simulate_module
-from fusionshrink.chain import chain_entropy, smooth_core
+from fusionshrink.chain import all_expected_transition_sq, chain_entropy, smooth_core
 from fusionshrink.cli import main as cli_main
 from fusionshrink.engine import (
     AuxState,
@@ -17,7 +18,13 @@ from fusionshrink.engine import (
     predict_mean,
     predict_stack,
 )
-from fusionshrink.likelihoods import ObservationSet, logistic_quad_coeff
+from fusionshrink.likelihoods import (
+    ObservationSet,
+    expected_sse,
+    logistic_quad_coeff,
+    logistic_quad_const,
+    pair_products,
+)
 from fusionshrink.metrics import auc
 from fusionshrink.scales import InverseGammaQ
 
@@ -42,6 +49,12 @@ def network_obs(rng, T, n):
     vals = np.triu(draws, 1)
     vals = vals + np.swapaxes(vals, 1, 2)
     return ObservationSet(kind="bernoulli-network", values=vals)
+
+
+def with_mask(rng, obs, keep=0.7):
+    """Gaussian observations with about 1 - keep of the cells masked out."""
+    mask = (rng.random(obs.values.shape) < keep).astype(float)
+    return ObservationSet(kind=obs.kind, values=obs.values, mask=mask)
 
 
 def mode_from_means(mean):
@@ -74,6 +87,20 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ModelConfig(inner_iters=0)
     ModelConfig(alpha=1.0)  # boundary allowed
+    for name in (
+        "intercept_prior_var",
+        "a_sigma0",
+        "b_sigma0",
+        "a_sigma",
+        "b_sigma",
+        "a_trans",
+        "b_trans",
+        "init_cov",
+    ):
+        for value in (0.0, -0.1, -1.0, np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError, match=f"^{name} must be positive"):
+                ModelConfig(**{name: value})
+        ModelConfig(**{name: 1e-300})  # any positive finite value is allowed
 
 
 def test_engine_rejects_bad_shapes():
@@ -140,7 +167,7 @@ def test_first_mode_update_matches_manual_smooth():
     rng = np.random.default_rng(2)
     obs = gaussian_obs(rng, 4, 5, 6)
     eng = CaviEngine(obs, ModelConfig(d=2, inner_iters=1))
-    P, h = eng._site_for_mode(0)
+    P, h = eng._sites(0, slice(None))
     rho0, rho = eng._chain_rhos(0)
     mean, cov, cross = smooth_core(rho0, rho, P, h)
     eng._update_mode(0)
@@ -154,25 +181,208 @@ def test_block_update_reaches_fixed_point():
     obs = gaussian_obs(rng, 3, 4, 4)
     eng = CaviEngine(obs, ModelConfig(d=2))
     for _ in range(200):
-        eng.block_update_subject(0, 1)
+        eng._update_mode(0)
     before_mean = eng.modes[0].mean[1].copy()
     before_cov = eng.modes[0].cov[1].copy()
     before_rate = np.asarray(eng.modes[0].lambda2.rate)[1].copy()
-    eng.block_update_subject(0, 1)
+    eng._update_mode(0)
     np.testing.assert_allclose(eng.modes[0].mean[1], before_mean, atol=1e-12)
     np.testing.assert_allclose(eng.modes[0].cov[1], before_cov, atol=1e-12)
     np.testing.assert_allclose(
         np.asarray(eng.modes[0].lambda2.rate)[1], before_rate, atol=1e-12
     )
     # fixed point satisfies the self-consistency equation of the block
-    P, h = eng._site_for_subject(0, 1)
+    P, h = eng._sites(0, 1)
     rho0, rho = eng._chain_rhos(0)
     mean, cov, _ = smooth_core(rho0[1], rho[1], P, h)
     np.testing.assert_allclose(eng.modes[0].mean[1], mean, atol=1e-10)
     np.testing.assert_allclose(eng.modes[0].cov[1], cov, atol=1e-10)
 
 
-# ----- ELBO monotonicity --------------------------------------------------------
+@pytest.mark.parametrize("prior", ["ffs", "iglsm"])
+@pytest.mark.parametrize("kind", ["matrix", "masked", "tensor"])
+def test_gaussian_mode_update_equals_subject_by_subject(kind, prior):
+    """A Gaussian mode is one block because its subjects are independent
+    given the other modes: the same block loop run one subject at a time,
+    each chain through the single-chain kernel, gives the same mode."""
+    rng = np.random.default_rng(44)
+    obs = {
+        "matrix": lambda: gaussian_obs(rng, 9, 5, 6),
+        "masked": lambda: with_mask(rng, gaussian_obs(rng, 9, 5, 6)),
+        "tensor": lambda: tensor_obs(rng, 9, (4, 3, 5)),
+    }[kind]()
+    cfg = ModelConfig(d=2, prior=prior)
+    batched, single = CaviEngine(obs, cfg), CaviEngine(obs, cfg)
+    for eng in (batched, single):
+        eng.sweep()  # leave the warm start, so every subject has its own scales
+    for m in range(len(batched.modes)):
+        batched._update_mode(m)
+        st = single.modes[m]
+        for i in range(single.sizes[m]):
+            P, h = single._sites(m, i)
+            for _ in range(cfg.inner_iters):
+                rho0, rho = single._chain_rhos(m, i)
+                mean, cov, cross = smooth_core(rho0, rho, P, h)
+                st.mean[i], st.cov[i], st.cross[i] = mean, cov, cross
+                single.second[m][i] = engine_module._second_from(mean, cov)
+                single._update_scales(m, i)
+        a, b = batched.modes[m], single.modes[m]
+        for name in ("mean", "cov", "cross"):
+            assert rel_err(getattr(a, name), getattr(b, name)) <= 1e-10, (m, name)
+        assert rel_err(batched.second[m], single.second[m]) <= 1e-10
+        for name in ("lambda2", "eta", "tau2", "tau_aux", "sigma0"):
+            for field_name in ("shape", "rate"):
+                got = getattr(getattr(a, name), field_name)
+                ref = getattr(getattr(b, name), field_name)
+                assert rel_err(got, ref) <= 1e-10, (m, name, field_name)
+
+
+# ----- ELBO: reference formula and monotonicity ---------------------------------
+
+
+def elbo_reference(eng):
+    """The ELBO with every term written out by hand: the reference that
+    the engine's two term helpers are checked against."""
+    cfg = eng.cfg
+    d = cfg.d
+    if eng.kind == "bernoulli-network":
+        iu = eng._dyads
+        mom = eng._moments(0)
+        xi = eng.aux.xi[:, iu[0], iu[1]]
+        a = eng.aux.curv[:, iu[0], iu[1]]
+        inner = pair_products(mom.mean)[:, iu[0], iu[1]]
+        pair_sq = pair_products(mom.second)[:, iu[0], iu[1]]
+        b = eng.aux.intercept
+        mb = float(b.mean) if b is not None else 0.0
+        eb2 = float(b.second_moment) if b is not None else 0.0
+        edge = (
+            a * (eb2 + 2.0 * mb * inner + pair_sq)
+            + (eng.obs.values[:, iu[0], iu[1]] - 0.5) * (mb + inner)
+            + logistic_quad_const(xi)
+        )
+        if eng.obs.mask is not None:
+            edge = edge * (eng.obs.mask[:, iu[0], iu[1]] > 0)
+        total = cfg.alpha * float(edge.sum())
+        if b is not None:
+            v0 = cfg.intercept_prior_var
+            total += -0.5 * (np.log(2 * np.pi * v0) + float(b.second_moment) / v0)
+            total += 0.5 * (1.0 + np.log(2 * np.pi * float(b.var)))
+    else:
+        noise = eng.aux.noise
+        n_obs = eng.obs.count_observed()
+        sse = expected_sse(eng.obs, [eng._moments(k) for k in range(len(eng.sizes))])
+        e_log_s2 = float(noise.mean_log)
+        e_inv_s2 = float(noise.mean_inverse)
+        total = -0.5 * cfg.alpha * (
+            n_obs * (np.log(2 * np.pi) + e_log_s2) + e_inv_s2 * sse
+        )
+        # Noise prior and entropy.
+        total += (
+            cfg.a_sigma * np.log(cfg.b_sigma)
+            - gammaln(cfg.a_sigma)
+            - (cfg.a_sigma + 1.0) * e_log_s2
+            - cfg.b_sigma * e_inv_s2
+        )
+        total += float(noise.entropy)
+    if cfg.prior == "iglsm":
+        sh = eng.aux.shared_trans
+        e_log_sa = float(sh.mean_log)
+        e_inv_sa = float(sh.mean_inverse)
+        total += (
+            cfg.a_trans * np.log(cfg.b_trans)
+            - gammaln(cfg.a_trans)
+            - (cfg.a_trans + 1.0) * e_log_sa
+            - cfg.b_trans * e_inv_sa
+        )
+        total += float(sh.entropy)
+    lg_half = gammaln(0.5)
+    for st in eng.modes:
+        e_trans = all_expected_transition_sq(st.mean, st.cov, st.cross)
+        e_norm1 = np.sum(st.mean[:, 0] ** 2, axis=-1) + np.trace(
+            st.cov[:, 0], axis1=-2, axis2=-1
+        )
+        s0_log = np.asarray(st.sigma0.mean_log)
+        s0_inv = np.asarray(st.sigma0.mean_inverse)
+        total += np.sum(
+            -0.5 * d * (np.log(2 * np.pi) + s0_log) - 0.5 * s0_inv * e_norm1
+        )
+        total += np.sum(
+            cfg.a_sigma0 * np.log(cfg.b_sigma0)
+            - gammaln(cfg.a_sigma0)
+            - (cfg.a_sigma0 + 1.0) * s0_log
+            - cfg.b_sigma0 * s0_inv
+            + np.asarray(st.sigma0.entropy)
+        )
+        if cfg.prior == "iglsm":
+            e_log_sa = float(eng.aux.shared_trans.mean_log)
+            e_inv_sa = float(eng.aux.shared_trans.mean_inverse)
+            total += np.sum(
+                -0.5 * d * (np.log(2 * np.pi) + e_log_sa) - 0.5 * e_inv_sa * e_trans
+            )
+        else:
+            l_log = np.asarray(st.lambda2.mean_log)
+            l_inv = np.asarray(st.lambda2.mean_inverse)
+            t_log = np.asarray(st.tau2.mean_log)[:, None]
+            t_inv = np.asarray(st.tau2.mean_inverse)[:, None]
+            e_log = np.asarray(st.eta.mean_log)
+            e_inv = np.asarray(st.eta.mean_inverse)
+            x_log = np.asarray(st.tau_aux.mean_log)
+            x_inv = np.asarray(st.tau_aux.mean_inverse)
+            # Transition likelihood under the scale product.
+            total += np.sum(
+                -0.5 * d * (np.log(2 * np.pi) + t_log + l_log)
+                - 0.5 * t_inv * l_inv * e_trans
+            )
+            # lambda^2 | eta and eta priors.
+            total += np.sum(-0.5 * e_log - lg_half - 1.5 * l_log - e_inv * l_inv)
+            total += np.sum(-lg_half - 1.5 * e_log - e_inv)
+            # tau^2 | aux and aux priors.
+            total += np.sum(
+                -0.5 * x_log
+                - lg_half
+                - 1.5 * np.asarray(st.tau2.mean_log)
+                - x_inv * np.asarray(st.tau2.mean_inverse)
+            )
+            total += np.sum(-lg_half - 1.5 * x_log - x_inv)
+            for q in (st.lambda2, st.eta, st.tau2, st.tau_aux):
+                total += np.sum(np.asarray(q.entropy))
+        total += float(np.sum(chain_entropy(st.cov, st.cross)))
+    return float(total)
+
+
+@pytest.mark.parametrize("prior", ["ffs", "iglsm"])
+@pytest.mark.parametrize(
+    "case",
+    [
+        "matrix",
+        "matrix_masked",
+        "tensor",
+        "tensor_masked",
+        "network",
+        "network_masked",
+        "network_intercept",
+        "network_intercept_masked",
+    ],
+)
+def test_elbo_matches_reference(case, prior):
+    """A dropped or mis-signed ELBO term can keep the ELBO monotone; the
+    term-by-term reference catches it."""
+    rng = np.random.default_rng(45)
+    kind, masked = case.split("_")[0], case.endswith("masked")
+    if kind == "network":
+        obs = (masked_network_obs if masked else network_obs)(rng, 8, 9)
+    else:
+        obs = gaussian_obs(rng, 8, 6, 5) if kind == "matrix" else tensor_obs(
+            rng, 8, (4, 3, 5)
+        )
+        if masked:
+            obs = with_mask(rng, obs)
+    eng = CaviEngine(obs, ModelConfig(d=2, prior=prior, intercept="intercept" in case))
+    for sweeps in range(4):
+        if sweeps:
+            eng.sweep()
+        ref = elbo_reference(eng)
+        assert abs(eng.elbo() - ref) <= 1e-12 * abs(ref), (sweeps, eng.elbo(), ref)
 
 
 @pytest.mark.parametrize("prior", ["ffs", "iglsm"])
