@@ -193,6 +193,11 @@ def _diag_shifts(rho0: float, rho: list[float]) -> list[float]:
     return [rho0 + rho[0], *middle, rho[-1]]
 
 
+def _reversed(flat: list[float]) -> np.ndarray:
+    """A new C-contiguous float array of `flat` in reverse order."""
+    return np.ascontiguousarray(np.array(flat, dtype=float)[::-1])
+
+
 def _smooth_single_d1(
     rho0: float, rho: list[float], precision: np.ndarray, shift: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -219,6 +224,7 @@ def _smooth_single_d1(
         bhats.append(bhat)
     m = inv * bhat
     c = inv
+    # Built from the last time back, so each list is reversed once at the end.
     mean = [m]
     cov = [c]
     cross = []
@@ -231,13 +237,10 @@ def _smooth_single_d1(
         mean.append(m)
         cov.append(c)
         cross.append(x)
-    mean.reverse()
-    cov.reverse()
-    cross.reverse()
     return (
-        np.array(mean).reshape(T, 1),
-        np.array(cov).reshape(T, 1, 1),
-        np.array(cross, dtype=float).reshape(T - 1, 1, 1),
+        _reversed(mean).reshape(T, 1),
+        _reversed(cov).reshape(T, 1, 1),
+        _reversed(cross).reshape(T - 1, 1, 1),
     )
 
 
@@ -290,8 +293,10 @@ def _smooth_single_d2(
     m0 = i00 * b0 + i01 * b1
     m1 = i01 * b0 + i11 * b1
     c00, c01, c11 = i00, i01, i11
-    mean = [(m0, m1)]
-    cov = [(c00, c01, c01, c11)]
+    # Built from the last time back, each block's entries in reverse order,
+    # so one reversal of each flat list gives the outputs in C order.
+    mean = [m1, m0]
+    cov = [c11, c01, c01, c00]
     cross = []
     for t in range(T - 2, -1, -1):
         i00, i01, i11 = invs[t]
@@ -315,16 +320,13 @@ def _smooth_single_d2(
             (i01 + (x00 * g01 + x01 * g11)) + (i01 + (x10 * g00 + x11 * g01))
         )
         c11 = i11 + (x10 * g01 + x11 * g11)
-        mean.append((m0, m1))
-        cov.append((c00, c01, c01, c11))
-        cross.append((x00, x01, x10, x11))
-    mean.reverse()
-    cov.reverse()
-    cross.reverse()
+        mean += (m1, m0)
+        cov += (c11, c01, c01, c00)
+        cross += (x11, x10, x01, x00)
     return (
-        np.array(mean).reshape(T, 2),
-        np.array(cov).reshape(T, 2, 2),
-        np.array(cross, dtype=float).reshape(T - 1, 2, 2),
+        _reversed(mean).reshape(T, 2),
+        _reversed(cov).reshape(T, 2, 2),
+        _reversed(cross).reshape(T - 1, 2, 2),
     )
 
 

@@ -22,7 +22,14 @@ _FMT = "%.17g"
 
 
 def _write_matrix(path: Path, values: np.ndarray) -> None:
-    np.savetxt(path, np.atleast_2d(values), fmt=_FMT)
+    """The bytes of `np.savetxt(path, np.atleast_2d(values), fmt=_FMT)`,
+    formatted by one `%` over a whole-file template and written at once
+    (savetxt formats and writes row by row)."""
+    values = np.atleast_2d(values)
+    nrows, ncols = values.shape
+    row = " ".join([_FMT] * ncols) + "\n"
+    with open(path, "w") as fh:
+        fh.write((row * nrows) % tuple(values.ravel().tolist()))
 
 
 def _slice_to_2d(slice_t: np.ndarray) -> np.ndarray:

@@ -8,7 +8,10 @@ ascending index.  A network mode's blocks are its subjects in ascending
 index (a subject's site holds its partners' moments); a Gaussian mode is
 one block of all its subjects, which are independent given the other
 modes.  Each block builds its site once, then runs `inner_iters` rounds of
-(chain smooth -> scale updates).  After a full sweep the global factors
+(chain smooth -> scale updates).  The chain precisions of a mode's subjects
+are computed once per mode, before its blocks, and the last round's scale
+updates run once over all of them, after the blocks: only a subject's own
+chain reads its scales.  After a full sweep the global factors
 (noise variance, tangent parameters, intercept, shared transition
 variance) refresh, the fit metric is recorded, and the loop stops when the
 metric change drops below tolerance.
@@ -421,17 +424,29 @@ class CaviEngine:
         subjects in ascending order (Gauss-Seidel); a Gaussian mode is one
         block, since its subjects are independent given the other modes.
         The other subjects' moments are frozen while a block iterates, so
-        its site is built once."""
+        its site is built once.
+
+        Only the moments need the Gauss-Seidel order: a subject's scales
+        are read by its own chain precisions alone, and every scale update
+        is elementwise or a per-row reduction.  So the precisions of all
+        subjects are computed once before the loop, and the last round's
+        scale updates run once over all subjects after it; a round r >= 1
+        still updates its block's scales and precisions first.
+        """
         st = self.modes[m]
         network = self.kind == "bernoulli-network"
+        rho0_all, rho_all = self._chain_rhos(m)
         for rows in range(self.sizes[m]) if network else (slice(None),):
             P, h = self._sites(m, rows)
-            for _ in range(self.cfg.inner_iters):
-                rho0, rho = self._chain_rhos(m, rows)
+            rho0, rho = rho0_all[rows], rho_all[rows]
+            for r in range(self.cfg.inner_iters):
+                if r:
+                    self._update_scales(m, rows)
+                    rho0, rho = self._chain_rhos(m, rows)
                 mean, cov, cross = smooth_core(rho0, rho, P, h)
                 st.mean[rows], st.cov[rows], st.cross[rows] = mean, cov, cross
                 self.second[m][rows] = _second_from(mean, cov)
-                self._update_scales(m, rows)
+        self._update_scales(m, slice(None))
 
     def _set_xi(self, xi: np.ndarray) -> None:
         self.aux.xi = xi

@@ -34,24 +34,37 @@ def pcc(a: np.ndarray, b: np.ndarray) -> float:
     return float((xc * yc).sum() / denom)
 
 
-def _midranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks of a 1-d array, tied values sharing the mean of their
-    ranks; all NaN if any entry is NaN."""
-    if np.isnan(x).any():
-        return np.full(x.shape, np.nan)
+def _sorted_midranks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sort order of a 1-d array and its 1-based midranks in that order
+    (tied values share the mean of their ranks); the ranks are all NaN if
+    any entry is NaN."""
     # Any sort will do: every member of a tie group gets the group's mean.
     order = np.argsort(x)
+    if np.isnan(x).any():
+        return order, np.full(x.shape, np.nan)
     xs = x[order]
     starts = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
     ends = np.r_[starts[1:], xs.size]
-    ranks = np.empty(x.size)
     # A tie group at sorted positions start..end-1 holds ranks start+1..end.
-    ranks[order] = np.repeat(0.5 * (starts + 1 + ends), ends - starts)
+    return order, np.repeat(0.5 * (starts + 1 + ends), ends - starts)
+
+
+def _midranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of a 1-d array, tied values sharing the mean of their
+    ranks; all NaN if any entry is NaN."""
+    order, ranks_sorted = _sorted_midranks(x)
+    ranks = np.empty(x.size)
+    ranks[order] = ranks_sorted
     return ranks
 
 
 def auc(scores: np.ndarray, labels: np.ndarray) -> float:
-    """Area under the ROC curve via the Mann-Whitney statistic (midranks)."""
+    """Area under the ROC curve via the Mann-Whitney statistic (midranks).
+
+    The positives' rank sum is taken in sorted order; its terms are
+    half-integers far below 2**53, so every summation order gives the same
+    value.
+    """
     s = np.asarray(scores, dtype=float).ravel()
     y = np.asarray(labels).ravel()
     if s.shape != y.shape:
@@ -62,8 +75,9 @@ def auc(scores: np.ndarray, labels: np.ndarray) -> float:
     n_neg = int(np.sum(y == 0))
     if n_pos == 0 or n_neg == 0:
         raise ValueError("auc needs both classes present")
-    ranks = _midranks(s)
-    return float((ranks[y == 1].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+    order, ranks = _sorted_midranks(s)
+    rank_sum = ranks @ (y[order] == 1)
+    return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
 def discrepancy_matrix(slices: np.ndarray) -> np.ndarray:

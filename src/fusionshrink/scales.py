@@ -31,8 +31,10 @@ class InverseGammaQ:
     rate: float | np.ndarray
 
     def __post_init__(self) -> None:
-        if np.any(np.asarray(self.shape) <= 0) or np.any(np.asarray(self.rate) <= 0):
-            raise ValueError("inverse-gamma shape and rate must be positive")
+        # min and max carry a NaN through, and it fails both comparisons.
+        for value in (np.asarray(self.shape), np.asarray(self.rate)):
+            if value.size and not (value.min() > 0 and value.max() < np.inf):
+                raise ValueError("inverse-gamma shape and rate must be positive and finite")
 
     @property
     def mean_inverse(self) -> float | np.ndarray:

@@ -9,6 +9,7 @@ from fusionshrink.chain import (
     GaussianChainPrior,
     SitePotential,
     _chol_inverse,
+    _diag_shifts,
     _sym,
     all_expected_transition_sq,
     chain_smooth,
@@ -496,3 +497,130 @@ def test_smooth_core_leaves_inputs_and_returns_contiguous(batch, d, T):
             assert out.flags.c_contiguous
             for x in inputs:
                 assert not np.shares_memory(out, x)
+
+
+# ----- single-chain kernels against their per-step tuple form ------------------
+
+
+def tuple_smooth_d1(rho0, rho, precision, shift):
+    """The d = 1 kernel as it collected its outputs before: one entry per
+    step, reversed in place, then converted."""
+    T = precision.shape[0]
+    sites = precision.reshape(T).tolist()
+    shifts = shift.reshape(T).tolist()
+    diag = _diag_shifts(rho0, rho)
+    invs, bhats = [], []
+    inv = bhat = 0.0
+    for t in range(T):
+        a = sites[t] + diag[t]
+        if t:
+            r = rho[t - 1]
+            a = a - r * r * inv
+            bhat = shifts[t] + r * (inv * bhat)
+        else:
+            bhat = shifts[0]
+        inv = 1.0 / a
+        invs.append(inv)
+        bhats.append(bhat)
+    m, c = inv * bhat, inv
+    mean, cov, cross = [m], [c], []
+    for t in range(T - 2, -1, -1):
+        inv = invs[t]
+        g = rho[t] * inv
+        m = inv * bhats[t] + g * m
+        x = g * c
+        c = inv + x * g
+        mean.append(m)
+        cov.append(c)
+        cross.append(x)
+    for out in (mean, cov, cross):
+        out.reverse()
+    return (
+        np.array(mean).reshape(T, 1),
+        np.array(cov).reshape(T, 1, 1),
+        np.array(cross, dtype=float).reshape(T - 1, 1, 1),
+    )
+
+
+def tuple_smooth_d2(rho0, rho, precision, shift):
+    """The d = 2 kernel as it collected its outputs before: a tuple of
+    entries per step, reversed in place, then converted."""
+    T = precision.shape[0]
+    sites = precision.reshape(T, 4).tolist()
+    shifts = shift.tolist()
+    diag = _diag_shifts(rho0, rho)
+    invs, bhats = [], []
+    i00 = i01 = i11 = b0 = b1 = 0.0
+    for t in range(T):
+        p00, p01, p10, p11 = sites[t]
+        h0, h1 = shifts[t]
+        a = p00 + diag[t]
+        c = p11 + diag[t]
+        if t:
+            r = rho[t - 1]
+            r2 = r * r
+            a = a - r2 * i00
+            c = c - r2 * i11
+            b = 0.5 * ((p01 - r2 * i01) + (p10 - r2 * i01))
+            b0, b1 = (
+                h0 + r * (i00 * b0 + i01 * b1),
+                h1 + r * (i01 * b0 + i11 * b1),
+            )
+        else:
+            b = 0.5 * (p01 + p10)
+            b0, b1 = h0, h1
+        inv_det = 1.0 / (a * c - b * b)
+        i00, i01, i11 = c * inv_det, -b * inv_det, a * inv_det
+        invs.append((i00, i01, i11))
+        bhats.append((b0, b1))
+    m0 = i00 * b0 + i01 * b1
+    m1 = i01 * b0 + i11 * b1
+    c00, c01, c11 = i00, i01, i11
+    mean, cov, cross = [(m0, m1)], [(c00, c01, c01, c11)], []
+    for t in range(T - 2, -1, -1):
+        i00, i01, i11 = invs[t]
+        b0, b1 = bhats[t]
+        r = rho[t]
+        g00, g01, g11 = r * i00, r * i01, r * i11
+        m0, m1 = (
+            (i00 * b0 + i01 * b1) + (g00 * m0 + g01 * m1),
+            (i01 * b0 + i11 * b1) + (g01 * m0 + g11 * m1),
+        )
+        x00 = g00 * c00 + g01 * c01
+        x01 = g00 * c01 + g01 * c11
+        x10 = g01 * c00 + g11 * c01
+        x11 = g01 * c01 + g11 * c11
+        c00 = i00 + (x00 * g00 + x01 * g01)
+        c01 = 0.5 * (
+            (i01 + (x00 * g01 + x01 * g11)) + (i01 + (x10 * g00 + x11 * g01))
+        )
+        c11 = i11 + (x10 * g01 + x11 * g11)
+        mean.append((m0, m1))
+        cov.append((c00, c01, c01, c11))
+        cross.append((x00, x01, x10, x11))
+    for out in (mean, cov, cross):
+        out.reverse()
+    return (
+        np.array(mean).reshape(T, 2),
+        np.array(cov).reshape(T, 2, 2),
+        np.array(cross, dtype=float).reshape(T - 1, 2, 2),
+    )
+
+
+@pytest.mark.parametrize("regime", ["moderate", "near_zero", "near_floor", "spread"])
+@pytest.mark.parametrize("T", [1, 2, 3, 30, 100])
+@pytest.mark.parametrize("d", [1, 2])
+def test_single_chain_kernel_equals_tuple_form(d, T, regime):
+    # Each kernel now extends one flat list per output and reverses it once;
+    # the arithmetic is unchanged, so the outputs are the same bits.
+    rng = np.random.default_rng(200 * d + T + len(regime))
+    reference = tuple_smooth_d1 if d == 1 else tuple_smooth_d2
+    for rank_deficient in (False, True):
+        for rho0 in (0.0, 0.7):
+            rho0, rho, P, h = kernel_case(rng, T, d, regime, rank_deficient, rho0)
+            got = smooth_core(rho0, rho, P, h)
+            want = reference(rho0, rho.tolist(), P, h)
+            for out, out_ref in zip(got, want):
+                assert out.dtype == np.float64 and out.flags.c_contiguous
+                assert out.shape == out_ref.shape
+                np.testing.assert_array_equal(out, out_ref)

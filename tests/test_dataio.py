@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from fusionshrink.dataio import (
+    _write_matrix,
     aligned_trajectories,
     load_dataset,
     load_fit_factors,
@@ -64,6 +65,25 @@ def test_save_dataset_byte_identical(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (
             tmp_path / "b" / name
         ).read_bytes()
+
+
+def test_write_matrix_matches_savetxt_bytes(tmp_path):
+    # The writer formats a whole file with one `%`; its bytes must be those
+    # of np.savetxt with the same format, special values included.
+    rng = np.random.default_rng(12)
+    cases = [
+        rng.standard_normal(7),
+        rng.standard_normal((20, 20)),
+        np.array([[3.25]]),
+        np.array([[-0.0, 0.0, np.nan, -np.nan], [np.inf, -np.inf, 5e-324, 1e300]]),
+        1e-310 * rng.standard_normal((30, 3)),
+        np.arange(12.0).reshape(3, 4),
+    ]
+    for i, values in enumerate(cases):
+        ours, ref = tmp_path / f"a{i}.txt", tmp_path / f"b{i}.txt"
+        _write_matrix(ours, values)
+        np.savetxt(ref, np.atleast_2d(values), fmt="%.17g")
+        assert ours.read_bytes() == ref.read_bytes(), i
 
 
 def test_load_dataset_failure_modes(tmp_path):

@@ -70,6 +70,17 @@ def test_invalid_parameters_rejected():
         InverseGammaQ(0.0, 1.0)
     with pytest.raises(ValueError):
         InverseGammaQ(1.0, -2.0)
+    # Non-finite parameters: before, (nan, 1) gave mean_inverse nan and
+    # (1, inf) gave 0.0 without an error.
+    for bad in (np.nan, np.inf, -np.inf):
+        for args in ((bad, 1.0), (1.0, bad)):
+            with pytest.raises(ValueError, match="positive and finite"):
+                InverseGammaQ(*args)
+        row = np.array([1.0, bad])
+        for args in ((row, np.ones(2)), (np.ones(2), row[::-1])):
+            with pytest.raises(ValueError, match="positive and finite"):
+                InverseGammaQ(*args)
+    InverseGammaQ(np.array([1e-300, 1e300]), np.array([1e300, 1e-300]))
 
 
 @settings(max_examples=30, deadline=None)
