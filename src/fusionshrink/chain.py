@@ -157,8 +157,11 @@ def _chol_inverse(mats: np.ndarray) -> np.ndarray:
     if d == 2:
         a = mats[0, 0]
         c = mats[1, 1]
-        b = 0.5 * (mats[0, 1] + mats[1, 0])
-        det = a * c - b * b
+        # Entries near the float limit overflow here; the check below turns
+        # that into the error, so numpy need not warn first.
+        with np.errstate(over="ignore", invalid="ignore"):
+            b = 0.5 * (mats[0, 1] + mats[1, 0])
+            det = a * c - b * b
         if (
             not (np.all(np.isfinite(a)) and np.all(np.isfinite(det)))
             or np.any(a <= 0)
@@ -454,13 +457,16 @@ def smooth_core(
     """
     precision = np.asarray(precision, dtype=float)
     shift = np.asarray(shift, dtype=float)
-    batch = precision.shape[:-3]
     T, d = precision.shape[-3], precision.shape[-1]
-    rho0 = np.broadcast_to(np.asarray(rho0, dtype=float), batch)
-    rho = np.broadcast_to(np.asarray(rho, dtype=float), batch + (max(T - 1, 0),))
-    if not batch and d <= 2:
+    if precision.ndim == 3 and d <= 2:
+        rho = np.asarray(rho, dtype=float)
+        if rho.shape != (max(T - 1, 0),):
+            rho = np.broadcast_to(rho, (max(T - 1, 0),))
         single = _smooth_single_d1 if d == 1 else _smooth_single_d2
         return single(float(rho0), rho.tolist(), precision, shift)
+    batch = precision.shape[:-3]
+    rho0 = np.broadcast_to(np.asarray(rho0, dtype=float), batch)
+    rho = np.broadcast_to(np.asarray(rho, dtype=float), batch + (max(T - 1, 0),))
 
     # Blocks of the joint precision: site + prior couplings on the
     # diagonal, -rho_t I between neighbours (C holds rho_t I).

@@ -30,19 +30,21 @@ from scipy.special import gammaln
 from .chain import all_expected_transition_sq, chain_entropy, smooth_core
 from .likelihoods import (
     ModeMoments,
+    NetworkDyads,
     NormalQ,
     ObservationSet,
     bernoulli_site_subject,
+    bernoulli_site_weights,
     expected_sse,
     gaussian_noise_update,
     intercept_update,
     logistic_quad_coeff,
     logistic_quad_const,
-    pair_products,
+    packed_pair_products,
     tensor_sites,
     xi_update,
 )
-from .metrics import auc, rmse
+from .metrics import mann_whitney_auc, rmse
 from .scales import (
     InverseGammaQ,
     floored_precision,
@@ -120,9 +122,10 @@ class ModeState:
 class AuxState:
     """Global factors refreshed once per sweep.
 
-    For the network kind, curv = logistic_quad_coeff(xi) is the tangent
-    bound's curvature A(xi), (T, n, n), set together with xi so the sites,
-    the intercept and the ELBO read it instead of recomputing it.
+    For the network kind, xi is packed over the dyads i < j as (T, D)
+    (see NetworkDyads), and curv = logistic_quad_coeff(xi) is the tangent
+    bound's curvature A(xi), set together with xi so the sites, the
+    intercept and the ELBO read it instead of recomputing it.
     """
 
     noise: InverseGammaQ | None = None
@@ -268,8 +271,7 @@ class CaviEngine:
         self.second = [_second_from(st.mean, st.cov) for st in self.modes]
         self.aux = AuxState()
         if self.kind == "bernoulli-network":
-            n = self.sizes[0]
-            self._set_xi(np.ones((self.T, n, n)))
+            self._set_xi(np.ones(self.dyads.resid.shape))
             if config.intercept:
                 self.aux.intercept = NormalQ(0.0, config.intercept_prior_var)
         else:
@@ -280,22 +282,23 @@ class CaviEngine:
     # ----- initialisation -------------------------------------------------
 
     def _gather_dyads(self) -> None:
-        """Upper-triangle dyads (i < j) and their labels, time-major and
-        restricted to observed dyads, which must hold an edge and a non-edge
-        (the training AUC needs both)."""
-        iu = self._dyads = np.triu_indices(self.sizes[0], k=1)
-        labels = self.obs.values[:, iu[0], iu[1]].ravel()
-        self._dyad_keep = None
-        if self.obs.mask is not None:
-            self._dyad_keep = self.obs.mask[:, iu[0], iu[1]].ravel() > 0
-            labels = labels[self._dyad_keep]
-        if not (labels == 1).any() or not (labels == 0).any():
+        """Packed upper-triangle dyads (i < j), and the flat indices of the
+        observed edges and non-edges among them; the training AUC needs
+        both to be present."""
+        self.dyads = NetworkDyads.from_obs(self.obs)
+        labels = self.dyads.pack(self.obs.values).ravel()
+        observed = True
+        if self.dyads.weight is not None:
+            observed = self.dyads.weight.ravel() > 0
+        self._edges = np.flatnonzero((labels == 1) & observed)
+        self._non_edges = np.flatnonzero((labels == 0) & observed)
+        if not (self._edges.size and self._non_edges.size):
             raise ValueError(
                 f"network data must hold an edge and a non-edge among the "
-                f"observed dyads; found {int(labels.sum())} edge(s) in "
-                f"{labels.size} observed dyad(s)"
+                f"observed dyads; found {self._edges.size} edge(s) in "
+                f"{self._edges.size + self._non_edges.size} observed dyad(s)"
             )
-        self._dyad_labels = labels
+        self._pairs: tuple[np.ndarray, ...] | None = None
 
     def _init_means(self) -> list[np.ndarray]:
         """Spectral warm start: per-time rank-d factors of the data slices
@@ -358,19 +361,29 @@ class CaviEngine:
             )
         return rho0, rho
 
-    def _sites(self, m: int, rows: int | slice) -> tuple[np.ndarray, np.ndarray]:
+    def _network_operands(self) -> tuple[np.ndarray, ...]:
+        """What the network sites read, for the current state: the two
+        per-dyad weight arrays of bernoulli_site_weights, and time-major
+        copies of the second moments (T, n, d*d) and means (T, n, d)."""
+        b = self.aux.intercept.mean if self.aux.intercept is not None else 0.0
+        second_tm = np.ascontiguousarray(self.second[0].transpose(1, 0, 2, 3))
+        return (
+            *bernoulli_site_weights(self.dyads, self.aux.curv, self.cfg.alpha, b),
+            second_tm.reshape(self.T, self.sizes[0], -1),
+            np.ascontiguousarray(self.modes[0].mean.transpose(1, 0, 2)),
+        )
+
+    def _sites(
+        self, m: int, rows: int | slice, operands: tuple | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Site precisions and shifts of mode m's subjects `rows`: one
-        subject for the network kind, any rows for the Gaussian kinds."""
+        subject for the network kind, any rows for the Gaussian kinds.  A
+        network site reads `operands` (from _network_operands, made here
+        when not given)."""
         if self.kind == "bernoulli-network":
-            b = self.aux.intercept.mean if self.aux.intercept is not None else 0.0
+            prec_w, shift_w, second_tm, mean_tm = operands or self._network_operands()
             return bernoulli_site_subject(
-                self.obs.values,
-                self._moments(0),
-                self.aux.curv,
-                rows,
-                self.cfg.alpha,
-                intercept_mean=b,
-                mask=self.obs.mask,
+                prec_w, shift_w, self.dyads.cols[rows], second_tm, mean_tm
             )
         P, h = tensor_sites(
             self.obs.values,
@@ -431,13 +444,16 @@ class CaviEngine:
         is elementwise or a per-row reduction.  So the precisions of all
         subjects are computed once before the loop, and the last round's
         scale updates run once over all subjects after it; a round r >= 1
-        still updates its block's scales and precisions first.
+        still updates its block's scales and precisions first.  The network
+        sites' weights and time-major moments are made once per pass, and a
+        stored subject's moments are copied into them.
         """
         st = self.modes[m]
         network = self.kind == "bernoulli-network"
         rho0_all, rho_all = self._chain_rhos(m)
+        operands = self._network_operands() if network else None
         for rows in range(self.sizes[m]) if network else (slice(None),):
-            P, h = self._sites(m, rows)
+            P, h = self._sites(m, rows, operands)
             rho0, rho = rho0_all[rows], rho_all[rows]
             for r in range(self.cfg.inner_iters):
                 if r:
@@ -446,6 +462,9 @@ class CaviEngine:
                 mean, cov, cross = smooth_core(rho0, rho, P, h)
                 st.mean[rows], st.cov[rows], st.cross[rows] = mean, cov, cross
                 self.second[m][rows] = _second_from(mean, cov)
+            if network:  # the later subjects' sites read these moments
+                operands[2][:, rows] = self.second[m][rows].reshape(self.T, -1)
+                operands[3][:, rows] = mean
         self._update_scales(m, slice(None))
 
     def _set_xi(self, xi: np.ndarray) -> None:
@@ -455,15 +474,13 @@ class CaviEngine:
     def refresh_aux(self) -> None:
         cfg = self.cfg
         if self.kind == "bernoulli-network":
-            self._set_xi(xi_update(self._moments(0), self.aux.intercept))
+            mom = self._moments(0)
+            xi, inner, pair_sq = xi_update(mom, self.dyads, self.aux.intercept)
+            self._set_xi(xi)
+            self._keep_pairs(inner, pair_sq)
             if cfg.intercept:
                 self.aux.intercept = intercept_update(
-                    self.obs.values,
-                    self._moments(0),
-                    self.aux.curv,
-                    cfg.alpha,
-                    cfg.intercept_prior_var,
-                    self.obs.mask,
+                    self.dyads, self.aux.curv, inner, cfg.alpha, cfg.intercept_prior_var
                 )
         else:
             self.aux.noise = gaussian_noise_update(
@@ -499,22 +516,39 @@ class CaviEngine:
     def predict_stack(self) -> np.ndarray:
         return predict_stack(self._fit_view())
 
+    def _pair_stats(self) -> tuple[np.ndarray, np.ndarray]:
+        """Packed inner = E[u_i]'E[u_j] and pair_sq = tr(E[u_i u_i'] E[u_j u_j'])
+        of the current network moments: those of the last xi refresh while
+        the moments equal the ones it read, else formed anew."""
+        mom = self._moments(0)
+        if self._pairs is not None:
+            mean, second, inner, pair_sq = self._pairs
+            if np.array_equal(mean, mom.mean) and np.array_equal(second, mom.second):
+                return inner, pair_sq
+        inner, pair_sq = packed_pair_products(mom, self.dyads)
+        self._keep_pairs(inner, pair_sq)
+        return inner, pair_sq
+
+    def _keep_pairs(self, inner: np.ndarray, pair_sq: np.ndarray) -> None:
+        mom = self._moments(0)
+        self._pairs = (mom.mean.copy(), mom.second.copy(), inner, pair_sq)
+
     def metric(self) -> float:
         """In-sample RMSE (Gaussian kinds) or training AUC (network).
 
         The network AUC scores only the observed upper-triangle dyads: the
-        logits come from the same product as predict_stack, and the sigmoid
-        runs on the kept dyads alone, so the value equals the AUC of
+        logits are the intercept plus the packed pair products, the same
+        product as predict_stack, and the sigmoid runs on the observed
+        edges and non-edges alone, so the value equals the AUC of
         predict_stack's upper triangle bit for bit.
         """
         if self.kind != "bernoulli-network":
             return rmse(self.predict_stack(), self.obs.values, self.obs.mask)
-        iu = self._dyads
-        u = np.swapaxes(self.modes[0].mean, 0, 1)  # (T, n, d)
-        logits = _link_logits(self.aux, u)[:, iu[0], iu[1]].ravel()
-        if self._dyad_keep is not None:
-            logits = logits[self._dyad_keep]
-        return auc(_sigmoid(logits), self._dyad_labels)
+        b = self.aux.intercept.mean if self.aux.intercept is not None else 0.0
+        logits = (b + self._pair_stats()[0]).ravel()
+        return mann_whitney_auc(
+            _sigmoid(logits[self._edges]), _sigmoid(logits[self._non_edges])
+        )
 
     def elbo(self) -> float:
         """Evidence lower bound: exact for the Gaussian kinds, the tangent
@@ -529,22 +563,18 @@ class CaviEngine:
         cfg = self.cfg
         d = cfg.d
         if self.kind == "bernoulli-network":
-            iu = self._dyads
-            mom = self._moments(0)
-            xi = self.aux.xi[:, iu[0], iu[1]]
-            a = self.aux.curv[:, iu[0], iu[1]]
-            inner = pair_products(mom.mean)[:, iu[0], iu[1]]
-            pair_sq = pair_products(mom.second)[:, iu[0], iu[1]]
+            xi, a = self.aux.xi, self.aux.curv
+            inner, pair_sq = self._pair_stats()
             b = self.aux.intercept
             mb = float(b.mean) if b is not None else 0.0
             eb2 = float(b.second_moment) if b is not None else 0.0
             edge = (
                 a * (eb2 + 2.0 * mb * inner + pair_sq)
-                + (self.obs.values[:, iu[0], iu[1]] - 0.5) * (mb + inner)
+                + self.dyads.resid * (mb + inner)
                 + logistic_quad_const(xi)
             )
-            if self.obs.mask is not None:
-                edge = edge * (self.obs.mask[:, iu[0], iu[1]] > 0)
+            if self.dyads.weight is not None:
+                edge = edge * self.dyads.weight
             total = cfg.alpha * float(edge.sum())
             if b is not None:
                 v0 = cfg.intercept_prior_var

@@ -12,9 +12,11 @@ Each builder reduces its likelihood (raised to the fractional power alpha)
 to per-time natural-parameter evidence for one latent mode, holding every
 other factor at its current variational moments.  The Bernoulli case uses
 the logistic tangent (quadratic) bound with per-edge tangent parameters
-xi, so its sites are exact for the bounded likelihood.  The sites and the
-intercept take the bound's curvature A(xi) (logistic_quad_coeff), which
-the engine computes once per refresh of xi.
+xi, so its sites are exact for the bounded likelihood.  Every per-dyad
+quantity of the network is held once, packed over the upper triangle
+(NetworkDyads): the data, the mask, xi, the bound's curvature A(xi)
+(logistic_quad_coeff, computed once per refresh of xi), the pair products
+and the site weights.
 """
 from __future__ import annotations
 
@@ -200,78 +202,130 @@ def pair_products(x: np.ndarray) -> np.ndarray:
     return rows @ rows.transpose(0, 2, 1)
 
 
-def bernoulli_site_subject(
-    Y: np.ndarray,
-    moments: ModeMoments,
-    curv: np.ndarray,
-    subject: int,
-    alpha: float,
-    intercept_mean: float = 0.0,
-    mask: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Evidence for one network subject under the tangent bound.
+@dataclass
+class NetworkDyads:
+    """A network's dyads i < j, packed along a last axis of D = n(n-1)/2
+    columns in `np.triu_indices(n, 1)` order.
 
-    Y and the curvature curv = A(xi) = logistic_quad_coeff(xi) are (T, n, n);
-    sums run over partners j != subject (and the mask when given).  Returns
-    (T, d, d) precision and (T, d) shift:
+    resid holds Y - 1/2 and weight the mask (None when no dyad is masked),
+    both (T, D).  cols is (n, n): cols[i, j] is the column of dyad {i, j},
+    and the diagonal points at column D, the zero column that ends every
+    site weight array (bernoulli_site_weights), so row i of cols gathers
+    subject i's partners in one take with the subject itself weighted 0.
+    """
+
+    upper: tuple[np.ndarray, np.ndarray]
+    cols: np.ndarray
+    resid: np.ndarray
+    weight: np.ndarray | None
+
+    @classmethod
+    def from_obs(cls, obs: ObservationSet) -> NetworkDyads:
+        """The dyads of "bernoulli-network" observations."""
+        n = obs.values.shape[1]
+        upper = np.triu_indices(n, k=1)
+        cols = np.full((n, n), upper[0].size)
+        cols[upper] = cols[upper[::-1]] = np.arange(upper[0].size)
+        weight = None
+        if obs.mask is not None:
+            weight = obs.mask[:, upper[0], upper[1]]
+        return cls(upper, cols, obs.values[:, upper[0], upper[1]] - 0.5, weight)
+
+    def pack(self, x: np.ndarray) -> np.ndarray:
+        """The dyads of (..., n, n) pair values, as (..., D)."""
+        return x[..., self.upper[0], self.upper[1]]
+
+
+def packed_pair_products(
+    moments: ModeMoments, dyads: NetworkDyads
+) -> tuple[np.ndarray, np.ndarray]:
+    """(T, D) dyad arrays of E[u_i]'E[u_j] and tr(E[u_i u_i'] E[u_j u_j'])."""
+    return (
+        dyads.pack(pair_products(moments.mean)),
+        dyads.pack(pair_products(moments.second)),
+    )
+
+
+def bernoulli_site_weights(
+    dyads: NetworkDyads, curv: np.ndarray, alpha: float, intercept_mean: float = 0.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-dyad weights of the network sites, given the (T, D) curvature
+    curv = A(xi) = logistic_quad_coeff(xi) and the mask w:
+
+        -2 alpha A(xi) w  and  alpha (Y - 1/2 + 2 A(xi) mu_b) w,
+
+    each (T, D + 1) with a zero last column (see NetworkDyads.cols).
+    """
+    T, D = curv.shape
+    prec_w = np.zeros((T, D + 1))
+    shift_w = np.zeros((T, D + 1))
+    prec_w[:, :D] = -2.0 * alpha * curv
+    shift_w[:, :D] = alpha * (dyads.resid + 2.0 * curv * intercept_mean)
+    if dyads.weight is not None:
+        prec_w[:, :D] *= dyads.weight
+        shift_w[:, :D] *= dyads.weight
+    return prec_w, shift_w
+
+
+def bernoulli_site_subject(
+    prec_w: np.ndarray,
+    shift_w: np.ndarray,
+    partners: np.ndarray,
+    second_tm: np.ndarray,
+    mean_tm: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Evidence for one network subject i under the tangent bound.
+
+    prec_w and shift_w are the (T, D + 1) weights of bernoulli_site_weights
+    and partners = NetworkDyads.cols[i].  second_tm (T, n, d*d) and mean_tm
+    (T, n, d) hold every subject's E[u u'] and E[u], time-major.  Sums run
+    over partners j != i (and the mask when given).  Returns (T, d, d)
+    precision and (T, d) shift, each one batched matmul:
 
         P_it = -2 alpha sum_j A(xi_ijt) E[u_jt u_jt'],
         h_it = alpha sum_j (Y_ijt - 1/2 + 2 A(xi_ijt) mu_b) E[u_jt].
     """
-    T, n, _ = Y.shape
-    a = curv[:, subject, :]  # (T, n)
-    wgt = np.ones((T, n))
-    wgt[:, subject] = 0.0
-    if mask is not None:
-        wgt *= mask[:, subject, :]
-    prec = -2.0 * alpha * np.einsum("tj,jtab->tab", a * wgt, moments.second)
-    resid = (Y[:, subject, :] - 0.5 + 2.0 * a * intercept_mean) * wgt
-    shift = alpha * np.einsum("tj,jtd->td", resid, moments.mean)
-    return prec, shift
+    T, _, d = mean_tm.shape
+    prec = prec_w[:, None, partners] @ second_tm
+    shift = shift_w[:, None, partners] @ mean_tm
+    return prec.reshape(T, d, d), shift.reshape(T, d)
 
 
 def xi_update(
-    moments: ModeMoments, intercept_q: NormalQ | None = None
-) -> np.ndarray:
-    """Optimal tangent parameters xi_ijt = sqrt(E[(b + u_it' u_jt)^2]).
+    moments: ModeMoments, dyads: NetworkDyads, intercept_q: NormalQ | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Optimal tangent parameters xi_ijt = sqrt(E[(b + u_it' u_jt)^2]) of
+    every dyad i < j.
 
     E[(u'v)^2] = tr(E[uu'] E[vv']) for independent factors; the intercept
-    adds E[b^2] + 2 mu_b mu_u' mu_v.  Returns (T, n, n) with unit diagonal
-    (the diagonal is never consumed).
+    adds E[b^2] + 2 mu_b mu_u' mu_v.  Returns (T, D) arrays (xi, inner,
+    pair_sq) with the pair products of packed_pair_products, which the
+    intercept, the training AUC and the ELBO read as well.
     """
-    second = pair_products(moments.second)
+    inner, pair_sq = packed_pair_products(moments, dyads)
+    second = pair_sq
     if intercept_q is not None:
-        inner = pair_products(moments.mean)
         second = second + intercept_q.second_moment + 2.0 * intercept_q.mean * inner
-    second = np.maximum(second, 0.0)
-    xi = np.sqrt(second)
-    n = xi.shape[1]
-    xi[:, np.arange(n), np.arange(n)] = 1.0
-    return xi
+    return np.sqrt(np.maximum(second, 0.0)), inner, pair_sq
 
 
 def intercept_update(
-    Y: np.ndarray,
-    moments: ModeMoments,
+    dyads: NetworkDyads,
     curv: np.ndarray,
+    inner: np.ndarray,
     alpha: float,
     prior_var: float = 100.0,
-    mask: np.ndarray | None = None,
 ) -> NormalQ:
     """Network intercept factor under the tangent bound and a N(0, prior_var)
-    prior, given the (T, n, n) curvature curv = A(xi) = logistic_quad_coeff(xi).
-    Each dyad (i < j) contributes once:
+    prior, given the (T, D) curvature curv = A(xi) = logistic_quad_coeff(xi)
+    and inner = E[u_i]'E[u_j].  Each dyad (i < j) contributes once:
 
         precision = 1/prior_var - 2 alpha sum A(xi),
         mean = var * alpha * sum (Y - 1/2 + 2 A(xi) E[u_i' u_j]).
     """
-    T, n, _ = Y.shape
-    iu = np.triu_indices(n, k=1)
-    a = curv[:, iu[0], iu[1]]
-    wgt = np.ones_like(a) if mask is None else mask[:, iu[0], iu[1]]
-    inner = pair_products(moments.mean)[:, iu[0], iu[1]]
-    prec = 1.0 / prior_var - 2.0 * alpha * np.sum(a * wgt)
-    lin = alpha * np.sum((Y[:, iu[0], iu[1]] - 0.5 + 2.0 * a * inner) * wgt)
+    wgt = 1.0 if dyads.weight is None else dyads.weight
+    prec = 1.0 / prior_var - 2.0 * alpha * np.sum(curv * wgt)
+    lin = alpha * np.sum((dyads.resid + 2.0 * curv * inner) * wgt)
     return NormalQ(mean=lin / prec, var=1.0 / prec)
 
 

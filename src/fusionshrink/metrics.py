@@ -34,50 +34,38 @@ def pcc(a: np.ndarray, b: np.ndarray) -> float:
     return float((xc * yc).sum() / denom)
 
 
-def _sorted_midranks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sort order of a 1-d array and its 1-based midranks in that order
-    (tied values share the mean of their ranks); the ranks are all NaN if
-    any entry is NaN."""
-    # Any sort will do: every member of a tie group gets the group's mean.
-    order = np.argsort(x)
-    if np.isnan(x).any():
-        return order, np.full(x.shape, np.nan)
-    xs = x[order]
-    starts = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
-    ends = np.r_[starts[1:], xs.size]
-    # A tie group at sorted positions start..end-1 holds ranks start+1..end.
-    return order, np.repeat(0.5 * (starts + 1 + ends), ends - starts)
+def mann_whitney_auc(pos: np.ndarray, neg: np.ndarray) -> float:
+    """AUC of positive against negative scores: the share of (positive,
+    negative) pairs ranked correctly, a tie counting one half (the
+    Mann-Whitney U over n_pos n_neg); NaN if any score is NaN.
 
-
-def _midranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks of a 1-d array, tied values sharing the mean of their
-    ranks; all NaN if any entry is NaN."""
-    order, ranks_sorted = _sorted_midranks(x)
-    ranks = np.empty(x.size)
-    ranks[order] = ranks_sorted
-    return ranks
+    Sort and count: each class is sorted, and every positive counts the
+    negatives below it (`searchsorted` left) plus those at or below it
+    (right).  U is half of that integer total, so it is exact and the same
+    bits as the midrank formula (rank sum - n_pos (n_pos + 1) / 2).
+    """
+    pos = np.sort(pos)
+    neg = np.sort(neg)
+    if np.isnan(pos[-1]) or np.isnan(neg[-1]):  # NaN sorts last
+        return float("nan")
+    below = np.searchsorted(neg, pos, "left").sum()
+    upto = np.searchsorted(neg, pos, "right").sum()
+    return 0.5 * float(below + upto) / (pos.size * neg.size)
 
 
 def auc(scores: np.ndarray, labels: np.ndarray) -> float:
-    """Area under the ROC curve via the Mann-Whitney statistic (midranks).
-
-    The positives' rank sum is taken in sorted order; its terms are
-    half-integers far below 2**53, so every summation order gives the same
-    value.
-    """
+    """Area under the ROC curve via the Mann-Whitney statistic
+    (mann_whitney_auc)."""
     s = np.asarray(scores, dtype=float).ravel()
     y = np.asarray(labels).ravel()
     if s.shape != y.shape:
         raise ValueError("auc requires matching shapes")
     if not np.isin(y, (0, 1)).all():
         raise ValueError("labels must be binary")
-    n_pos = int(np.sum(y == 1))
-    n_neg = int(np.sum(y == 0))
-    if n_pos == 0 or n_neg == 0:
+    pos = y == 1
+    if pos.all() or not pos.any():
         raise ValueError("auc needs both classes present")
-    order, ranks = _sorted_midranks(s)
-    rank_sum = ranks @ (y[order] == 1)
-    return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+    return mann_whitney_auc(s[pos], s[~pos])
 
 
 def discrepancy_matrix(slices: np.ndarray) -> np.ndarray:

@@ -80,19 +80,23 @@ def row_normalize(X: np.ndarray) -> np.ndarray:
 def _kmeans_pp_centers(
     X: np.ndarray, k: int, rng: np.random.Generator
 ) -> np.ndarray:
+    """k-means++ seeds (Arthur & Vassilvitskii, SODA 2007).  A weighted
+    draw is the one `rng.choice(n, p=d2 / total)` makes: the first index
+    whose normalised cumulative weight exceeds `rng.random()`."""
     n = X.shape[0]
     centers = np.empty((k, X.shape[1]))
     first = int(rng.integers(n))
     centers[0] = X[first]
-    d2 = np.sum((X - centers[0]) ** 2, axis=1)
+    d2 = ((X - centers[0]) ** 2).sum(axis=1)
     for j in range(1, k):
         total = d2.sum()
         if total == 0:
             centers[j] = X[int(rng.integers(n))]
             continue
-        probs = d2 / total
-        centers[j] = X[int(rng.choice(n, p=probs))]
-        d2 = np.minimum(d2, np.sum((X - centers[j]) ** 2, axis=1))
+        cdf = (d2 / total).cumsum()
+        cdf /= cdf[-1]
+        centers[j] = X[int(cdf.searchsorted(rng.random(), "right"))]
+        d2 = np.minimum(d2, ((X - centers[j]) ** 2).sum(axis=1))
     return centers
 
 
@@ -110,36 +114,60 @@ def kmeans_rows(
     `restarts` runs as (labels, centers, within-cluster sum of squares).
     Emptied clusters are refilled with the point farthest from its center,
     so every cluster is nonempty in the result.
+
+    The restarts are seeded one after another from one RNG stream; their
+    Lloyd iterations then run together as arrays over the runs that have
+    not yet stopped, each run with its own stop test.  A center is the
+    mean of its members summed as `X[members].sum(axis=0)` sums them: in
+    row order for two or more columns, where the other rows add -0.0, which
+    changes no sum.  So each run gives the bits of running it alone.
     """
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= number of rows")
+    if restarts < 1 or iters < 1:
+        raise ValueError("restarts and iters must be >= 1")
     rng = np.random.Generator(np.random.Philox(seed))
-    best: tuple[float, np.ndarray, np.ndarray] | None = None
-    for _ in range(restarts):
-        centers = _kmeans_pp_centers(X, k, rng)
-        prev_inertia = np.inf
-        for _ in range(iters):
-            d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-            labels = np.argmin(d2, axis=1)
-            point_cost = d2[np.arange(n), labels]
+    centers = np.stack([_kmeans_pp_centers(X, k, rng) for _ in range(restarts)])
+    labels = np.empty((restarts, n), dtype=np.intp)
+    inertia = np.empty(restarts)
+    prev_inertia = np.full(restarts, np.inf)
+    runs = np.arange(restarts)
+    clusters = np.arange(k)[:, None]
+    for _ in range(iters):
+        if not runs.size:
+            break
+        d2 = ((X[:, None, :] - centers[runs, None, :, :]) ** 2).sum(axis=3)
+        lab = np.argmin(d2, axis=2)
+        point_cost = np.take_along_axis(d2, lab[:, :, None], axis=2)[:, :, 0]
+        members = lab[:, None, :] == clusters  # (runs, k, n)
+        for r in np.flatnonzero(~members.any(axis=2).all(axis=1)):
             for j in range(k):
-                if not np.any(labels == j):
-                    far = int(np.argmax(point_cost))
-                    labels[far] = j
-                    point_cost[far] = 0.0
-            for j in range(k):
-                centers[j] = X[labels == j].mean(axis=0)
-            d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-            inertia = float(d2[np.arange(n), labels].sum())
-            if prev_inertia - inertia <= tol * max(prev_inertia, 1.0):
-                break
-            prev_inertia = inertia
-        if best is None or inertia < best[0]:
-            best = (inertia, labels.copy(), centers.copy())
-    inertia, labels, centers = best
-    return labels, centers, inertia
+                if not np.any(lab[r] == j):
+                    far = int(np.argmax(point_cost[r]))
+                    lab[r, far] = j
+                    point_cost[r, far] = 0.0
+            members[r] = lab[r] == clusters
+        if X.shape[1] > 1:
+            sums = np.where(members[..., None], X, -0.0).sum(axis=2)
+        else:  # numpy sums one column pairwise, which padding would regroup
+            sums = np.array([[X[m].sum(axis=0) for m in run] for run in members])
+        centers[runs] = sums / members.sum(axis=2)[..., None]
+        d2 = ((X[:, None, :] - centers[runs, None, :, :]) ** 2).sum(axis=3)
+        labels[runs] = lab
+        cost = np.take_along_axis(d2, lab[:, :, None], axis=2)[:, :, 0]
+        inertia[runs] = cost.sum(axis=1)
+        prev, now = prev_inertia[runs], inertia[runs]
+        with np.errstate(invalid="ignore"):  # tol = 0 times the first inf
+            stop = prev - now <= tol * np.maximum(prev, 1.0)
+        prev_inertia[runs] = now
+        runs = runs[~stop]
+    best = 0
+    for r in range(1, restarts):  # the first strict minimum, NaN never after
+        if inertia[r] < inertia[best]:
+            best = r
+    return labels[best], centers[best], float(inertia[best])
 
 
 def misclustering_loss(est: np.ndarray, truth: np.ndarray, k: int) -> int:

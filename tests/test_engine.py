@@ -336,10 +336,9 @@ def elbo_reference(eng):
     cfg = eng.cfg
     d = cfg.d
     if eng.kind == "bernoulli-network":
-        iu = eng._dyads
+        iu = np.triu_indices(eng.sizes[0], k=1)
         mom = eng._moments(0)
-        xi = eng.aux.xi[:, iu[0], iu[1]]
-        a = eng.aux.curv[:, iu[0], iu[1]]
+        xi, a = eng.aux.xi, eng.aux.curv  # packed over i < j
         inner = pair_products(mom.mean)[:, iu[0], iu[1]]
         pair_sq = pair_products(mom.second)[:, iu[0], iu[1]]
         b = eng.aux.intercept
@@ -798,6 +797,43 @@ def test_network_metric_is_auc_of_predicted_upper_triangle(masked, intercept):
             keep = obs.mask[:, iu[0], iu[1]].ravel() > 0
             scores, labels = scores[keep], labels[keep]
         assert eng.metric() == auc(scores, labels)
+
+
+def fresh_network_auc(eng):
+    """The training AUC from the full (T, n, n) logits of the current means,
+    gathered over the observed dyads i < j."""
+    n = eng.sizes[0]
+    iu = np.triu_indices(n, k=1)
+    u = np.swapaxes(eng.modes[0].mean, 0, 1)
+    b = eng.aux.intercept.mean if eng.aux.intercept is not None else 0.0
+    scores = engine_module._sigmoid(b + u @ np.swapaxes(u, 1, 2))[:, iu[0], iu[1]]
+    labels = eng.obs.values[:, iu[0], iu[1]]
+    keep = np.ones(scores.shape, bool)
+    if eng.obs.mask is not None:
+        keep = eng.obs.mask[:, iu[0], iu[1]] > 0
+    return auc(scores[keep], labels[keep])
+
+
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("intercept", [False, True])
+def test_network_metric_and_elbo_fresh_after_init_and_mid_sweep(masked, intercept):
+    """metric() and elbo() read the pair products of the last xi refresh only
+    while the means are those it read: right after __init__ (no refresh yet),
+    mid-sweep (a subject stored since) and after the refresh, they equal a
+    fresh full computation."""
+    rng = np.random.default_rng(53)
+    obs = masked_network_obs(rng, 6, 9) if masked else network_obs(rng, 6, 9)
+    cfg = ModelConfig(d=2, intercept=intercept)
+    eng = CaviEngine(obs, cfg)
+    assert eng.metric() == fresh_network_auc(eng)
+    assert eng.elbo() == pytest.approx(elbo_reference(eng), rel=1e-12)
+    for _ in range(2):
+        eng._update_mode(0)  # mid-sweep: moments moved, xi not refreshed
+        assert eng.metric() == fresh_network_auc(eng)
+        assert eng.elbo() == pytest.approx(elbo_reference(eng), rel=1e-12)
+        eng.refresh_aux()
+        assert eng.metric() == fresh_network_auc(eng)
+        assert eng.elbo() == pytest.approx(elbo_reference(eng), rel=1e-12)
 
 
 def old_sigmoid(x):

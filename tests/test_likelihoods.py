@@ -6,9 +6,11 @@ import pytest
 
 from fusionshrink.likelihoods import (
     ModeMoments,
+    NetworkDyads,
     NormalQ,
     ObservationSet,
     bernoulli_site_subject,
+    bernoulli_site_weights,
     gaussian_matrix_sites,
     gaussian_noise_update,
     hadamard_second_moment,
@@ -253,6 +255,48 @@ def test_expected_square_matches_monte_carlo():
 # ----- bernoulli sites --------------------------------------------------------
 
 
+def network_dyads(Y, mask=None):
+    return NetworkDyads.from_obs(ObservationSet("bernoulli-network", Y, mask))
+
+
+def network_site(Y, moments, xi, subject, alpha, mask=None, intercept_mean=0.0):
+    """bernoulli_site_subject from full (T, n, n) data, mask and xi."""
+    dyads = network_dyads(Y, mask)
+    curv = logistic_quad_coeff(dyads.pack(xi))
+    n, T, _ = moments.mean.shape
+    return bernoulli_site_subject(
+        *bernoulli_site_weights(dyads, curv, alpha, intercept_mean),
+        dyads.cols[subject],
+        moments.second.transpose(1, 0, 2, 3).reshape(T, n, -1),
+        moments.mean.transpose(1, 0, 2),
+    )
+
+
+def random_network(rng, T, n):
+    vals = np.triu(rng.integers(0, 2, (T, n, n)).astype(float), 1)
+    return vals + np.swapaxes(vals, 1, 2)
+
+
+def test_network_dyads_pack_and_columns():
+    rng = np.random.default_rng(61)
+    T, n = 3, 6
+    Y = random_network(rng, T, n)
+    mask = np.triu((rng.random((T, n, n)) < 0.7).astype(float), 1)
+    mask = mask + np.swapaxes(mask, 1, 2)
+    dyads = network_dyads(Y, mask)
+    iu = np.triu_indices(n, k=1)
+    D = iu[0].size
+    np.testing.assert_array_equal(dyads.resid, Y[:, iu[0], iu[1]] - 0.5)
+    np.testing.assert_array_equal(dyads.weight, mask[:, iu[0], iu[1]])
+    assert network_dyads(Y).weight is None
+    padded = np.concatenate([dyads.resid, np.zeros((T, 1))], axis=1)
+    for i in range(n):
+        assert dyads.cols[i, i] == D
+        row = Y[:, i, :] - 0.5
+        row[:, i] = 0.0
+        np.testing.assert_array_equal(padded[:, dyads.cols[i]], row)
+
+
 def test_bernoulli_single_edge_plugin():
     d = 2
     n, T = 2, 1
@@ -263,9 +307,7 @@ def test_bernoulli_single_edge_plugin():
     Y = np.zeros((T, n, n))
     Y[0, 0, 1] = Y[0, 1, 0] = 1.0
     xi = np.zeros((T, n, n))
-    P, h = bernoulli_site_subject(
-        Y, moments, logistic_quad_coeff(xi), subject=0, alpha=1.0
-    )
+    P, h = network_site(Y, moments, xi, subject=0, alpha=1.0)
     np.testing.assert_allclose(P[0], 0.25 * np.eye(d), atol=1e-12)
     np.testing.assert_allclose(h[0], [0.5, 0.0], atol=1e-12)
 
@@ -274,13 +316,10 @@ def test_bernoulli_sites_always_psd():
     rng = np.random.default_rng(6)
     n, T, d = 5, 3, 2
     moments = random_moments(rng, n, T, d)
-    vals = rng.integers(0, 2, (T, n, n)).astype(float)
-    Y = np.triu(vals, 1) + np.swapaxes(np.triu(vals, 1), 1, 2)
+    Y = random_network(rng, T, n)
     xi = rng.uniform(0.0, 5.0, (T, n, n))
     for i in range(n):
-        P, _ = bernoulli_site_subject(
-            Y, moments, logistic_quad_coeff(xi), subject=i, alpha=0.95
-        )
+        P, _ = network_site(Y, moments, xi, subject=i, alpha=0.95)
         assert np.linalg.eigvalsh(P).min() > -1e-10
 
 
@@ -292,10 +331,8 @@ def test_bernoulli_excludes_self_and_mask():
     xi = np.ones((T, n, n))
     mask = np.ones((T, n, n))
     mask[:, 0, 2] = mask[:, 2, 0] = 0.0
-    P_all, h_all = bernoulli_site_subject(Y, moments, logistic_quad_coeff(xi), 0, 1.0)
-    P_m, h_m = bernoulli_site_subject(
-        Y, moments, logistic_quad_coeff(xi), 0, 1.0, mask=mask
-    )
+    P_all, h_all = network_site(Y, moments, xi, 0, 1.0)
+    P_m, h_m = network_site(Y, moments, xi, 0, 1.0, mask=mask)
     a = logistic_quad_coeff(1.0)
     # removing partner 2 subtracts its exact contribution
     np.testing.assert_allclose(
@@ -304,6 +341,35 @@ def test_bernoulli_excludes_self_and_mask():
     np.testing.assert_allclose(
         h_all - h_m, -0.5 * moments.mean[2], atol=1e-12
     )
+
+
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_bernoulli_site_matches_einsum_form(d, masked):
+    """The packed weights times time-major moments (one matmul each) agree
+    with the per-subject einsum over full (T, n, n) arrays to 1e-14 of the
+    largest entry: the same terms, summed in another order."""
+    rng = np.random.default_rng(62)
+    n, T, alpha, b = 9, 7, 0.95, -0.7
+    moments = random_moments(rng, n, T, d)
+    Y = random_network(rng, T, n)
+    mask = None
+    if masked:
+        mask = np.triu((rng.random((T, n, n)) < 0.7).astype(float), 1)
+        mask = mask + np.swapaxes(mask, 1, 2)
+    xi = rng.uniform(0.0, 5.0, (T, n, n))
+    xi = 0.5 * (xi + np.swapaxes(xi, 1, 2))
+    for i in range(n):
+        P, h = network_site(Y, moments, xi, i, alpha, mask, intercept_mean=b)
+        a = logistic_quad_coeff(xi)[:, i, :]
+        wgt = np.ones((T, n)) if mask is None else mask[:, i, :].copy()
+        wgt[:, i] = 0.0
+        P_ref = -2.0 * alpha * np.einsum("tj,jtab->tab", a * wgt, moments.second)
+        resid = (Y[:, i, :] - 0.5 + 2.0 * a * b) * wgt
+        h_ref = alpha * np.einsum("tj,jtd->td", resid, moments.mean)
+        for got, ref in ((P, P_ref), (h, h_ref)):
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 # ----- xi and intercept -------------------------------------------------------
@@ -323,19 +389,58 @@ def test_pair_products_match_einsum_forms(d):
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("intercept", [False, True])
+def test_packed_xi_curvature_and_intercept_equal_full_array_forms(intercept, masked):
+    """xi, A(xi) and the intercept from packed dyads are the bits of the
+    (T, n, n) formulas gathered over i < j."""
+    rng = np.random.default_rng(63)
+    n, T, d, alpha, prior_var = 8, 5, 2, 0.9, 50.0
+    moments = random_moments(rng, n, T, d)
+    Y = random_network(rng, T, n)
+    mask = None
+    if masked:
+        mask = np.triu((rng.random((T, n, n)) < 0.7).astype(float), 1)
+        mask = mask + np.swapaxes(mask, 1, 2)
+    b = NormalQ(mean=0.4, var=0.2) if intercept else None
+    dyads = network_dyads(Y, mask)
+    xi, inner, pair_sq = xi_update(moments, dyads, b)
+    curv = logistic_quad_coeff(xi)
+    q = intercept_update(dyads, curv, inner, alpha, prior_var)
+
+    iu = np.triu_indices(n, k=1)
+    full_inner = pair_products(moments.mean)
+    full_sq = pair_products(moments.second)
+    if b is not None:
+        full_sq = full_sq + b.second_moment + 2.0 * b.mean * full_inner
+    full_xi = np.sqrt(np.maximum(full_sq, 0.0))
+    np.testing.assert_array_equal(xi, full_xi[:, iu[0], iu[1]])
+    np.testing.assert_array_equal(curv, logistic_quad_coeff(full_xi)[:, iu[0], iu[1]])
+    np.testing.assert_array_equal(inner, full_inner[:, iu[0], iu[1]])
+    np.testing.assert_array_equal(pair_sq, pair_products(moments.second)[:, iu[0], iu[1]])
+    a = logistic_quad_coeff(full_xi)[:, iu[0], iu[1]]
+    wgt = np.ones_like(a) if mask is None else mask[:, iu[0], iu[1]]
+    prec = 1.0 / prior_var - 2.0 * alpha * np.sum(a * wgt)
+    lin = alpha * np.sum(
+        (Y[:, iu[0], iu[1]] - 0.5 + 2.0 * a * full_inner[:, iu[0], iu[1]]) * wgt
+    )
+    assert (q.mean, q.var) == (lin / prec, 1.0 / prec)
+
+
 def test_xi_point_mass_and_trace():
     d = 2
     e1 = np.array([1.0, 0.0])
     mean = np.stack([e1, e1])[:, None, :]
     second = np.stack([np.outer(e1, e1)] * 2)[:, None]
-    xi = xi_update(ModeMoments(mean=mean, second=second))
-    assert xi[0, 0, 1] == pytest.approx(1.0)
+    dyads = network_dyads(np.zeros((1, 2, 2)))
+    xi, _, _ = xi_update(ModeMoments(mean=mean, second=second), dyads)
+    assert xi.shape == (1, 1)  # one dyad, no diagonal
+    assert xi[0, 0] == pytest.approx(1.0)
     zero_mean = ModeMoments(
         mean=np.zeros((2, 1, d)), second=np.broadcast_to(np.eye(d), (2, 1, d, d))
     )
-    xi = xi_update(zero_mean)
-    assert xi[0, 0, 1] == pytest.approx(np.sqrt(2.0))
-    assert xi[0, 0, 0] == 1.0  # diagonal pinned, never consumed
+    xi, _, _ = xi_update(zero_mean, dyads)
+    assert xi[0, 0] == pytest.approx(np.sqrt(2.0))
 
 
 def test_xi_matches_monte_carlo():
@@ -347,13 +452,21 @@ def test_xi_matches_monte_carlo():
     second = covs + np.einsum("ni,nj->nij", mu, mu)
     moments = ModeMoments(mean=mu[:, None], second=second[:, None])
     b = NormalQ(mean=0.4, var=0.2)
-    xi = xi_update(moments, b)
+    xi, _, _ = xi_update(moments, network_dyads(np.zeros((1, 2, 2))), b)
     m = 1_000_000
     u = rng.multivariate_normal(mu[0], covs[0], size=m)
     v = rng.multivariate_normal(mu[1], covs[1], size=m)
     bs = rng.normal(b.mean, np.sqrt(b.var), size=m)
     mc = np.sqrt(np.mean((bs + np.sum(u * v, axis=1)) ** 2))
-    assert xi[0, 0, 1] == pytest.approx(mc, rel=0.01)
+    assert xi[0, 0] == pytest.approx(mc, rel=0.01)
+
+
+def network_intercept(Y, moments, xi, alpha, prior_var, mask=None):
+    """intercept_update from full (T, n, n) data, mask and xi."""
+    dyads = network_dyads(Y, mask)
+    inner = dyads.pack(pair_products(moments.mean))
+    curv = logistic_quad_coeff(dyads.pack(xi))
+    return intercept_update(dyads, curv, inner, alpha, prior_var)
 
 
 def test_intercept_no_observations_returns_prior():
@@ -362,9 +475,8 @@ def test_intercept_no_observations_returns_prior():
     )
     Y = np.zeros((1, 3, 3))
     xi = np.ones((1, 3, 3))
-    q = intercept_update(
-        Y, moments, logistic_quad_coeff(xi), alpha=1.0, prior_var=9.0,
-        mask=np.zeros((1, 3, 3)),
+    q = network_intercept(
+        Y, moments, xi, alpha=1.0, prior_var=9.0, mask=np.zeros((1, 3, 3))
     )
     assert q.mean == pytest.approx(0.0)
     assert q.var == pytest.approx(9.0)
@@ -378,9 +490,7 @@ def test_intercept_single_obs_plugin():
     Y = np.zeros((1, 2, 2))
     Y[0, 0, 1] = Y[0, 1, 0] = 1.0
     xi = np.zeros((1, 2, 2))
-    q = intercept_update(
-        Y, moments, logistic_quad_coeff(xi), alpha=1.0, prior_var=1e12
-    )
+    q = network_intercept(Y, moments, xi, alpha=1.0, prior_var=1e12)
     assert q.mean == pytest.approx(2.0, abs=1e-9)
     assert q.var == pytest.approx(4.0, abs=1e-9)
 
@@ -389,15 +499,15 @@ def test_intercept_maximises_tangent_bound():
     rng = np.random.default_rng(9)
     n, T, d = 4, 2, 2
     moments = random_moments(rng, n, T, d)
-    vals = rng.integers(0, 2, (T, n, n)).astype(float)
-    Y = np.triu(vals, 1) + np.swapaxes(np.triu(vals, 1), 1, 2)
-    xi = xi_update(moments)
+    Y = random_network(rng, T, n)
+    dyads = network_dyads(Y)
+    xi, inner, _ = xi_update(moments, dyads)
     alpha = 0.9
     prior_var = 50.0
-    q = intercept_update(Y, moments, logistic_quad_coeff(xi), alpha, prior_var)
+    q = intercept_update(dyads, logistic_quad_coeff(xi), inner, alpha, prior_var)
 
     iu = np.triu_indices(n, k=1)
-    a = logistic_quad_coeff(xi)[:, iu[0], iu[1]]
+    a = logistic_quad_coeff(xi)
     inner = np.einsum("itd,jtd->tij", moments.mean, moments.mean)[:, iu[0], iu[1]]
     x2 = np.einsum("itab,jtab->tij", moments.second, moments.second)[:, iu[0], iu[1]]
     yv = Y[:, iu[0], iu[1]]

@@ -4,7 +4,6 @@ import pytest
 from scipy.stats import pearsonr, rankdata
 
 from fusionshrink.metrics import (
-    _midranks,
     auc,
     discrepancy_matrix,
     pcc,
@@ -71,19 +70,45 @@ def test_auc_plugins_and_pairwise_brute_force():
         auc(np.array([0.1, 0.2]), np.array([0, 2]))
 
 
-def test_midranks_match_scipy_rankdata_with_ties():
+def midrank_auc(scores, labels):
+    """AUC from scipy's midranks of all scores, summed over the positives
+    by boolean indexing: the rank-sum formula that sort-and-count replaced."""
+    s, y = np.asarray(scores, dtype=float), np.asarray(labels)
+    n_pos, n_neg = int(np.sum(y == 1)), int(np.sum(y == 0))
+    ranks = rankdata(s)
+    return float((ranks[y == 1].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
+def test_auc_matches_midrank_reference_on_ties_inf_nan():
     rng = np.random.default_rng(3)
-    for size in (1, 2, 7, 200, 1000):
+    for size in (2, 7, 200, 1000):
         for _ in range(20):
-            x = rng.integers(0, max(size // 4, 2), size).astype(float)
-            np.testing.assert_array_equal(_midranks(x), rankdata(x))
-    # Heavy ties, including -0.0 and 0.0, which compare equal.
+            s = rng.integers(0, max(size // 4, 2), size).astype(float)
+            y = rng.integers(0, 2, size)
+            y[:2] = (0, 1)
+            assert auc(s, y) == midrank_auc(s, y), size
+    # Heavy ties, including -0.0 and 0.0, which compare equal, and
+    # saturated or infinite scores.
     for size in (50, 79_200):
-        for levels in ((0.0,), (-0.0, 0.0), (-0.0, 0.0, 1.0), (-1.0, -0.0, 0.0, 0.5)):
-            x = rng.choice(np.array(levels), size)
-            np.testing.assert_array_equal(_midranks(x), rankdata(x))
-    x = np.array([0.3, np.nan, 0.1])
-    np.testing.assert_array_equal(_midranks(x), rankdata(x))
+        y = rng.integers(0, 2, size)
+        y[:2] = (0, 1)
+        for levels in (
+            (0.0,),
+            (-0.0, 0.0),
+            (-0.0, 0.0, 1.0),
+            (-1.0, -0.0, 0.0, 0.5),
+            (-np.inf, 0.0, 1.0, np.inf),
+            (np.inf,),
+        ):
+            s = rng.choice(np.array(levels), size)
+            assert auc(s, y) == midrank_auc(s, y), (size, levels)
+    s = np.array([0.3, np.inf, 0.1, -np.inf])
+    assert auc(s, [1, 1, 0, 0]) == 1.0
+    assert auc(s, [0, 1, 1, 0]) == 0.75
+    for where in (0, 1):  # a NaN among the positives or the negatives
+        s = np.array([0.3, 0.2, 0.1, 0.4])
+        s[where] = np.nan
+        assert np.isnan(auc(s, [1, 0, 1, 0]))
 
 
 def test_auc_matches_rankdata_formula_with_ties():
@@ -97,18 +122,9 @@ def test_auc_matches_rankdata_formula_with_ties():
         assert auc(s, y) == expected
 
 
-def scatter_auc(scores, labels):
-    """AUC from midranks scattered back to input order, summed over the
-    positives by boolean indexing."""
-    s, y = np.asarray(scores, dtype=float), np.asarray(labels)
-    n_pos, n_neg = int(np.sum(y == 1)), int(np.sum(y == 0))
-    ranks = _midranks(s)
-    return float((ranks[y == 1].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
-
-
 def test_auc_equals_scatter_formula_bit_for_bit():
-    # The rank sum is taken in sorted order now; its terms are half-integers,
-    # so the value must be the same bits as the scattered sum.
+    # Sort and count gives U as half of an integer total, so the value must
+    # be the same bits as the midrank sum scattered back to input order.
     rng = np.random.default_rng(5)
     for size in (2, 3, 50, 1000, 78_000, 100_000):
         for kind in ("continuous", "ties", "saturated"):
@@ -119,8 +135,8 @@ def test_auc_equals_scatter_formula_bit_for_bit():
                 s = np.round(s, 1)
             elif kind == "saturated":
                 s = np.where(s < 0.4, 0.0, np.where(s > 0.6, 1.0, s))
-            assert auc(s, y) == scatter_auc(s, y), (size, kind)
-            assert auc(s, y.astype(int)) == scatter_auc(s, y), (size, kind)
+            assert auc(s, y) == midrank_auc(s, y), (size, kind)
+            assert auc(s, y.astype(int)) == midrank_auc(s, y), (size, kind)
     s[size // 2] = np.nan
     assert np.isnan(auc(s, y))
 

@@ -190,12 +190,111 @@ def test_kmeans_deterministic_and_validates():
         kmeans_rows(X, 0)
     with pytest.raises(ValueError):
         kmeans_rows(X, 11)
+    for bad in ({"restarts": 0}, {"iters": 0}):
+        with pytest.raises(ValueError, match="restarts and iters"):
+            kmeans_rows(X, 3, **bad)
 
 
 def test_kmeans_fills_empty_clusters():
     X = np.zeros((6, 2))
     labels, _, _ = kmeans_rows(X, 2, seed=0)
     assert set(labels) == {0, 1}
+
+
+def kmeans_pp_reference(X, k, rng):
+    """k-means++ seeding with `rng.choice` for the weighted draws."""
+    n = X.shape[0]
+    centers = np.empty((k, X.shape[1]))
+    centers[0] = X[int(rng.integers(n))]
+    d2 = np.sum((X - centers[0]) ** 2, axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        if total == 0:
+            centers[j] = X[int(rng.integers(n))]
+            continue
+        centers[j] = X[int(rng.choice(n, p=d2 / total))]
+        d2 = np.minimum(d2, np.sum((X - centers[j]) ** 2, axis=1))
+    return centers
+
+
+def kmeans_rows_reference(X, k, restarts=10, iters=100, tol=1e-8, seed=0):
+    """kmeans_rows as one restart after another, each a loop of Lloyd
+    iterations with per-cluster refills and means: the reference that the
+    batched restarts must equal bit for bit."""
+    X = np.asarray(X, dtype=float)
+    n = X.shape[0]
+    rng = np.random.Generator(np.random.Philox(seed))
+    best = None
+    for _ in range(restarts):
+        centers = kmeans_pp_reference(X, k, rng)
+        prev_inertia = np.inf
+        for _ in range(iters):
+            d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+            labels = np.argmin(d2, axis=1)
+            point_cost = d2[np.arange(n), labels]
+            for j in range(k):
+                if not np.any(labels == j):
+                    far = int(np.argmax(point_cost))
+                    labels[far] = j
+                    point_cost[far] = 0.0
+            for j in range(k):
+                centers[j] = X[labels == j].mean(axis=0)
+            d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+            inertia = float(d2[np.arange(n), labels].sum())
+            if prev_inertia - inertia <= tol * max(prev_inertia, 1.0):
+                break
+            prev_inertia = inertia
+        if best is None or inertia < best[0]:
+            best = (inertia, labels.copy(), centers.copy())
+    inertia, labels, centers = best
+    return labels, centers, inertia
+
+
+def test_kmeans_pp_draw_is_generator_choice():
+    # The cumulative-sum draw must pick the index rng.choice picks and leave
+    # the stream where rng.choice leaves it.
+    rng = np.random.default_rng(11)
+    a = np.random.Generator(np.random.Philox(5))
+    b = np.random.Generator(np.random.Philox(5))
+    for _ in range(1000):
+        n = int(rng.integers(1, 50))
+        w = rng.random(n) * (rng.random(n) < 0.7)
+        w[rng.integers(n)] += 1e-3
+        probs = w / w.sum()
+        cdf = probs.cumsum()
+        cdf /= cdf[-1]
+        assert int(cdf.searchsorted(b.random(), "right")) == int(a.choice(n, p=probs))
+    assert a.random() == b.random()
+
+
+@pytest.mark.parametrize(
+    "case", ["gaussian", "duplicates", "two_points", "one_column", "iterating", "k_is_n"]
+)
+def test_kmeans_equals_restart_loop_bit_for_bit(case):
+    """Labels, centers and inertia of the batched restarts are the bits of
+    the restart loop.  `duplicates` and `two_points` take the seeding's
+    total == 0 branch and refill emptied clusters; `iterating` (tol = 0)
+    runs several Lloyd iterations, stopping at different ones per run."""
+    rng = np.random.default_rng(12)
+    k, tol = 4, 1e-8
+    if case == "gaussian":
+        X = rng.standard_normal((40, 2)) + np.repeat(rng.standard_normal((4, 2)), 10, 0)
+    elif case == "duplicates":
+        X = np.round(rng.standard_normal((30, 2)))
+    elif case == "two_points":
+        X, k = np.repeat(rng.standard_normal((2, 3)), [7, 5], axis=0), 3
+    elif case == "one_column":
+        X = rng.standard_normal((60, 1))
+    elif case == "iterating":
+        X, tol = rng.standard_normal((50, 3)), 0.0
+    else:
+        X, k = rng.standard_normal((6, 2)), 6
+    for seed in range(5):
+        got = kmeans_rows(X, k, tol=tol, seed=seed)
+        want = kmeans_rows_reference(X, k, tol=tol, seed=seed)
+        np.testing.assert_array_equal(got[0], want[0])
+        assert got[1].tobytes() == want[1].tobytes()
+        assert got[2] == want[2]
 
 
 # ----- label metrics ----------------------------------------------------------------
