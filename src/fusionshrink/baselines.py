@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .likelihoods import cp_stack, khatri_rao, unfold
+
 
 def svd_rank_d(Y: np.ndarray, d: int) -> np.ndarray:
     """Best rank-d approximation of one matrix."""
@@ -205,16 +207,6 @@ def fused_lasso_svd(
 # ----- CP decomposition ------------------------------------------------------
 
 
-def _khatri_rao(mats: list[np.ndarray]) -> np.ndarray:
-    """Columnwise Kronecker product; rows ordered with the last factor's
-    index fastest (matches Fortran-flattening the corresponding axes)."""
-    out = mats[0]
-    for m in mats[1:]:
-        d = out.shape[1]
-        out = (out[:, None, :] * m[None, :, :]).reshape(-1, d)
-    return out
-
-
 def cp_als(
     Y: np.ndarray, d: int, iters: int = 100, seed: int = 0, jitter: float = 1e-8
 ) -> tuple[list[np.ndarray], list[float]]:
@@ -236,9 +228,9 @@ def cp_als(
     norm_y = np.linalg.norm(Y)
     for _ in range(iters):
         for m in range(M):
-            others = [k for k in range(M) if k != m][::-1]
-            kr = _khatri_rao([factors[k] for k in others])
-            unf = np.moveaxis(Y, m, 0).reshape(sizes[m], -1, order="F")
+            others = [k for k in range(M) if k != m]
+            kr = khatri_rao([factors[k][:, None] for k in others])[0]
+            unf = unfold(Y[None], m)[0]
             gram = np.ones((d, d))
             for k in others:
                 gram = gram * grams[k]
@@ -260,11 +252,8 @@ def cp_als(
 
 
 def cp_reconstruct(factors: list[np.ndarray]) -> np.ndarray:
-    sizes = tuple(f.shape[0] for f in factors)
-    d = factors[0].shape[1]
-    kr = _khatri_rao(list(factors[1:])[::-1])
-    out = factors[0] @ kr.T
-    return out.reshape(sizes, order="F")
+    """The tensor sum_l prod_m A^m_l of (n_m, d) CP factors."""
+    return cp_stack([f[:, None] for f in factors])[0]
 
 
 def cp_per_time(

@@ -1,10 +1,11 @@
 """Plain-text dataset and fit artifacts.
 
 A dataset directory holds a manifest plus one whitespace-separated matrix
-per time step.  Order-3 slices are stored as their first-mode unfolding
-(columns ordered Fortran-style over the remaining modes) so every file is
-two dimensional.  All floats are written with %.17g, which round-trips
-IEEE doubles exactly; reruns with the same inputs are byte identical.
+per time step, the mask (if any) likewise.  Order-3 slices are stored as
+their mode-0 unfolding (`likelihoods.unfold`: columns ordered
+Fortran-style over the remaining modes) so every file is two dimensional.
+All floats are written with %.17g, which round-trips IEEE doubles exactly;
+reruns with the same inputs are byte identical.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from statistics import median
 import numpy as np
 
 from .engine import FitResult, predict_stack
-from .likelihoods import KINDS, ObservationSet
+from .likelihoods import KINDS, ObservationSet, fold, unfold
 from .postprocess import sequential_align
 
 _FMT = "%.17g"
@@ -32,25 +33,12 @@ def _write_matrix(path: Path, values: np.ndarray) -> None:
         fh.write((row * nrows) % tuple(values.ravel().tolist()))
 
 
-def _slice_to_2d(slice_t: np.ndarray) -> np.ndarray:
-    if slice_t.ndim <= 2:
-        return slice_t
-    return slice_t.reshape(slice_t.shape[0], -1, order="F")
-
-
 def write_slices(directory: str | Path, prefix: str, slices: np.ndarray) -> None:
     """Write a (T, *dims) stack as one text matrix per time step,
-    `{prefix}{t:04d}.txt`, order-3 slices as their first-mode unfolding."""
+    `{prefix}{t:04d}.txt`, each the slice's mode-0 unfolding."""
     directory = Path(directory)
-    for t, slice_t in enumerate(slices):
-        _write_matrix(directory / f"{prefix}{t:04d}.txt", _slice_to_2d(slice_t))
-
-
-def _slice_from_2d(flat: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
-    flat = np.atleast_2d(np.asarray(flat, dtype=float))
-    if len(dims) <= 2:
-        return flat.reshape(dims)
-    return flat.reshape(dims, order="F")
+    for t, flat in enumerate(unfold(slices, 0)):
+        _write_matrix(directory / f"{prefix}{t:04d}.txt", flat)
 
 
 def save_dataset(
@@ -69,12 +57,7 @@ def save_dataset(
     (directory / "manifest.txt").write_text("\n".join(lines) + "\n")
     write_slices(directory, "t", obs.values)
     if obs.mask is not None:
-        for t in range(obs.horizon):
-            np.savetxt(
-                directory / f"m{t:04d}.txt",
-                np.atleast_2d(_slice_to_2d(obs.mask[t].astype(int))),
-                fmt="%d",
-            )
+        write_slices(directory, "m", obs.mask)
     return directory
 
 
@@ -106,19 +89,21 @@ def load_dataset(directory: str | Path) -> tuple[ObservationSet, int]:
     T = int(entries["T"])
     seed = int(entries.get("seed", "0"))
     has_mask = entries.get("has_mask", "0") == "1"
-    values = np.empty((T, *dims))
-    mask = np.empty((T, *dims), dtype=bool) if has_mask else None
+    values = np.empty((T, dims[0], int(np.prod(dims[1:]))))
+    mask = np.empty_like(values) if has_mask else None
     for t in range(T):
         slice_path = directory / f"t{t:04d}.txt"
         if not slice_path.is_file():
             raise FileNotFoundError(f"missing slice: {slice_path}")
-        values[t] = _slice_from_2d(np.loadtxt(slice_path), dims)
+        values[t] = np.loadtxt(slice_path).reshape(dims[0], -1)
         if has_mask:
             mask_path = directory / f"m{t:04d}.txt"
             if not mask_path.is_file():
                 raise FileNotFoundError(f"missing mask: {mask_path}")
-            mask[t] = _slice_from_2d(np.loadtxt(mask_path), dims) != 0
-    return ObservationSet(kind=entries["kind"], values=values, mask=mask), seed
+            mask[t] = np.loadtxt(mask_path).reshape(dims[0], -1) != 0
+    if has_mask:
+        mask = fold(mask, 0, dims)
+    return ObservationSet(entries["kind"], fold(values, 0, dims), mask), seed
 
 
 def _stack_time_major(mean: np.ndarray) -> np.ndarray:

@@ -35,6 +35,7 @@ from .likelihoods import (
     ObservationSet,
     bernoulli_site_subject,
     bernoulli_site_weights,
+    cp_stack,
     expected_sse,
     gaussian_noise_update,
     intercept_update,
@@ -42,6 +43,7 @@ from .likelihoods import (
     logistic_quad_const,
     packed_pair_products,
     tensor_sites,
+    unfold,
     xi_update,
 )
 from .metrics import mann_whitney_auc, rmse
@@ -177,17 +179,6 @@ def _second_from(mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
     return cov + mean[..., :, None] * mean[..., None, :]
 
 
-def cp_mean_slice(means_t: list[np.ndarray], sizes: tuple[int, ...]) -> np.ndarray:
-    """Reconstruction from factor means at one time: sum_l prod_m u^m_l."""
-    d = means_t[0].shape[-1]
-    order = list(range(1, len(means_t)))[::-1]
-    rows = np.ones((1, d))
-    for m in order:
-        rows = (rows[:, None, :] * means_t[m][None, :, :]).reshape(-1, d)
-    out = means_t[0] @ rows.T
-    return out.reshape(sizes, order="F")
-
-
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function without overflow: 1/(1 + e^-x) for x >= 0 and
     e^x/(1 + e^x) below, both from e = exp(-|x|)."""
@@ -215,17 +206,15 @@ def predict_mean(fit: FitResult, t: int) -> np.ndarray:
     with the structurally absent diagonal zeroed)."""
     if fit.kind == "bernoulli-network":
         return _link_probs(fit, fit.modes[0].mean[:, t])
-    sizes = tuple(st.mean.shape[0] for st in fit.modes)
-    return cp_mean_slice([st.mean[:, t] for st in fit.modes], sizes)
+    return cp_stack([st.mean[:, t : t + 1] for st in fit.modes])[0]
 
 
 def predict_stack(fit: FitResult) -> np.ndarray:
-    """Predicted mean slices at every time, (T, *dims); the network kind is
-    one stacked product over time."""
+    """Predicted mean slices at every time, (T, *dims), each kind as one
+    stacked product over time."""
     if fit.kind == "bernoulli-network":
         return _link_probs(fit, np.swapaxes(fit.modes[0].mean, 0, 1))
-    T = fit.modes[0].mean.shape[1]
-    return np.stack([predict_mean(fit, t) for t in range(T)])
+    return cp_stack([st.mean for st in fit.modes])
 
 
 class CaviEngine:
@@ -328,14 +317,12 @@ class CaviEngine:
                 mv[:, t] = Vt[:d].T * root
             return [mu, mv]
         # gaussian-tensor: HOSVD-style per-mode unfolding factors.
-        from .likelihoods import unfold
-
         M = len(self.sizes)
-        means = [np.empty((n_m, T, d)) for n_m in self.sizes]
-        for t in range(T):
-            for m, n_m in enumerate(self.sizes):
-                U, s, _ = np.linalg.svd(unfold(Y[t], m), full_matrices=False)
-                means[m][:, t] = U[:, :d] * s[:d] ** (1.0 / M)
+        means = []
+        for m in range(M):
+            U, s, _ = np.linalg.svd(unfold(Y, m), full_matrices=False)
+            root = s[:, None, :d] ** (1.0 / M)
+            means.append(np.ascontiguousarray((U[..., :d] * root).transpose(1, 0, 2)))
         return means
 
     # ----- shared pieces ---------------------------------------------------

@@ -10,7 +10,12 @@ Three observation kinds share one inference engine:
 
 Each builder reduces its likelihood (raised to the fractional power alpha)
 to per-time natural-parameter evidence for one latent mode, holding every
-other factor at its current variational moments.  The Bernoulli case uses
+other factor at its current variational moments.  The CP layout lives here
+and nowhere else: `khatri_rao` (the other modes' rows at every time, the
+lowest-numbered mode fastest) and `unfold`/`fold` (Kolda & Bader's mode-m
+unfolding of a (T, *dims) stack).  The Gaussian sites, `cp_stack` and
+through it the predictions, the simulators, CP-ALS and the text files of
+`dataio` all use them; a matrix is the order-2 case.  The Bernoulli case uses
 the logistic tangent (quadratic) bound with per-edge tangent parameters
 xi, so its sites are exact for the bounded likelihood.  Every per-dyad
 quantity of the network is held once, packed over the upper triangle
@@ -176,17 +181,7 @@ def gaussian_matrix_sites(
     with sums over observed (i, j, t) cells only when a mask is given.
     To build column-mode sites, pass transposed slices and the row moments.
     """
-    w = _noise_weight(noise_q, alpha)
-    T, n, p = Y.shape
-    mean_tpd = other.mean.transpose(1, 0, 2)  # (T, p, d)
-    if mask is None:
-        shared = other.second.sum(axis=0)  # (T, d, d)
-        prec = np.broadcast_to(shared, (n,) + shared.shape).copy()
-        shift = np.swapaxes(Y @ mean_tpd, 0, 1)
-    else:
-        prec = np.einsum("tij,jtab->itab", mask, other.second)
-        shift = np.swapaxes((Y * mask) @ mean_tpd, 0, 1)
-    return w * prec, w * shift
+    return _cp_sites(Y, mask, [other], _noise_weight(noise_q, alpha))
 
 
 def pair_products(x: np.ndarray) -> np.ndarray:
@@ -343,32 +338,74 @@ def hadamard_second_moment(
     return e_aat * np.outer(d, d) + e_aat * np.asarray(sigma_b, dtype=float)
 
 
-def _other_mode_rows(
-    moments: list[ModeMoments], mode: int, t: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per multi-index moments of w = o_{m' != mode} u^{m'} at time t.
+def khatri_rao(factors: list[np.ndarray]) -> np.ndarray:
+    """Row-wise Khatri-Rao product of (n_m, T, k) factors at every time.
 
-    Returns means (prod n_other, d) and second moments (prod n_other, d, d),
-    rows ordered with the lowest-numbered mode's index fastest — the same
-    order as flattening the tensor's other axes Fortran-style.
+    Returns (T, prod n_m, k): row i_0 + n_0 (i_1 + n_1 (i_2 + ...)) holds the
+    elementwise product of the factors' rows i_m, so the first factor's
+    index runs fastest, the column order of `unfold` over the same modes.
+    With k = d the factors are means; with k = d*d they are flattened
+    second moments, since E[w w'] of w = o_m u^m over independent modes is
+    the elementwise product of the modes' E[u u'].
     """
-    order = [m for m in range(len(moments)) if m != mode][::-1]
-    first = order[0]
-    mrows = moments[first].mean[:, t]  # (n, d)
-    srows = moments[first].second[:, t]  # (n, d, d)
-    for m in order[1:]:
-        mm = moments[m].mean[:, t]
-        sm = moments[m].second[:, t]
-        d = mrows.shape[-1]
-        mrows = (mrows[:, None, :] * mm[None, :, :]).reshape(-1, d)
-        srows = (srows[:, None, :, :] * sm[None, :, :, :]).reshape(-1, d, d)
-    return mrows, srows
+    rows = factors[-1].transpose(1, 0, 2)
+    for f in factors[-2::-1]:
+        T, _, k = rows.shape
+        rows = (rows[:, :, None, :] * f.transpose(1, 0, 2)[:, None, :, :]).reshape(
+            T, -1, k
+        )
+    return rows
 
 
-def unfold(slice_t: np.ndarray, mode: int) -> np.ndarray:
-    """Mode-m unfolding: rows are the mode's fibres, columns run over the
-    other modes with the lowest-numbered one fastest."""
-    return np.moveaxis(slice_t, mode, 0).reshape(slice_t.shape[mode], -1, order="F")
+def _unfold_axes(ndim: int, mode: int) -> list[int]:
+    """Axis order of a (T, *dims) stack whose C-order flattening is `unfold`:
+    time, the mode, then the other modes from the highest down."""
+    return [0, 1 + mode, *(a for a in range(ndim - 1, 0, -1) if a != 1 + mode)]
+
+
+def unfold(stack: np.ndarray, mode: int) -> np.ndarray:
+    """Mode-m unfolding of every slice of a (T, n_0, ..., n_{M-1}) stack:
+    (T, n_m, prod of the other n), the columns running over the other modes
+    with the lowest-numbered one fastest (Kolda & Bader, SIAM Review 51(3),
+    2009).  For a matrix stack it is a view."""
+    axes = _unfold_axes(stack.ndim, mode)
+    return stack.transpose(axes).reshape(stack.shape[0], stack.shape[1 + mode], -1)
+
+
+def fold(unfolded: np.ndarray, mode: int, dims: tuple[int, ...]) -> np.ndarray:
+    """Inverse of `unfold`: the C-contiguous (T, *dims) stack."""
+    axes = _unfold_axes(len(dims) + 1, mode)
+    shape = (unfolded.shape[0], *dims)
+    moved = unfolded.reshape([shape[a] for a in axes])
+    return np.ascontiguousarray(moved.transpose(np.argsort(axes)))
+
+
+def _flat_second(mm: ModeMoments) -> np.ndarray:
+    """Second moments (n, T, d, d) as (n, T, d*d)."""
+    return mm.second.reshape(*mm.second.shape[:2], -1)
+
+
+def _cp_sites(
+    Y_unf: np.ndarray,
+    mask_unf: np.ndarray | None,
+    others: list[ModeMoments],
+    w: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sites of one mode from its (T, n, P) data (and mask) unfolding and the
+    moments of the other modes, in ascending order: one batched contraction
+    with their Khatri-Rao rows."""
+    mean = khatri_rao([o.mean for o in others])  # (T, P, d)
+    second = khatri_rao([_flat_second(o) for o in others])  # (T, P, d*d)
+    T, n, _ = Y_unf.shape
+    d = mean.shape[-1]
+    if mask_unf is None:
+        prec = np.broadcast_to(second.sum(axis=1)[:, None], (T, n, d * d))
+        shift = Y_unf @ mean
+    else:
+        prec = mask_unf @ second
+        shift = (Y_unf * mask_unf) @ mean
+    prec = np.swapaxes(prec, 0, 1).reshape(n, T, d, d)
+    return w * prec, w * np.swapaxes(shift, 0, 1)
 
 
 def tensor_sites(
@@ -389,71 +426,62 @@ def tensor_sites(
         h_it = alpha E[1/sigma^2] sum_w Y E[w],
 
     where independence across modes gives E[w w'] as the elementwise
-    product of the per-mode second moments (hadamard_second_moment chained).
-    With M = 2 this reproduces gaussian_matrix_sites exactly.
+    product of the per-mode second moments.  Every time and every M is one
+    batched contraction of `unfold(Y, mode)` with the `khatri_rao` rows of
+    the other modes; with M = 2 it is the computation of
+    gaussian_matrix_sites.
     """
     n_modes = Y.ndim - 1
     if not 0 <= mode < n_modes:
         raise ValueError(f"mode {mode} out of range for order-{n_modes} tensor")
     if len(moments) != n_modes:
         raise ValueError("need moments for every mode")
-    if n_modes == 2:
-        # Two modes are exactly the matrix model; delegate so both paths
-        # agree bit for bit.
-        if mode == 0:
-            return gaussian_matrix_sites(Y, moments[1], noise_q, alpha, mask)
-        swapped = None if mask is None else np.swapaxes(mask, 1, 2)
-        return gaussian_matrix_sites(
-            np.swapaxes(Y, 1, 2), moments[0], noise_q, alpha, swapped
-        )
-    w = _noise_weight(noise_q, alpha)
-    T = Y.shape[0]
-    n_m = Y.shape[1 + mode]
-    d = moments[mode].mean.shape[-1]
-    prec = np.empty((n_m, T, d, d))
-    shift = np.empty((n_m, T, d))
-    for t in range(T):
-        mrows, srows = _other_mode_rows(moments, mode, t)
-        yunf = unfold(Y[t], mode)
-        if mask is None:
-            prec[:, t] = srows.sum(axis=0)
-            shift[:, t] = yunf @ mrows
-        else:
-            munf = unfold(mask[t], mode)
-            prec[:, t] = np.einsum("ip,pab->iab", munf, srows)
-            shift[:, t] = (yunf * munf) @ mrows
-    return w * prec, w * shift
+    others = [mm for k, mm in enumerate(moments) if k != mode]
+    mask_unf = None if mask is None else unfold(mask, mode)
+    return _cp_sites(
+        unfold(Y, mode), mask_unf, others, _noise_weight(noise_q, alpha)
+    )
 
 
-def predicted_moments(
-    moments: list[ModeMoments], t: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and second moment of every reconstructed cell at time t.
+def cp_stack(factors: list[np.ndarray]) -> np.ndarray:
+    """CP reconstruction sum_k prod_m f^m_{i_m t k} of (n_m, T, k) factors,
+    as a C-contiguous (T, n_0, ..., n_{M-1}) stack.  With the modes' means
+    it is E[m] of every cell; with their flattened second moments, E[m^2].
 
-    Returns (E[m], E[m^2]) shaped like one data slice, where m is the inner
-    product of the modes' latent rows.  Used by the noise update and the
-    exact Gaussian objective.
+    Mode 0 is contracted with the khatri_rao rows of the other modes taken
+    in reverse, so the last mode's index runs fastest: the product is the
+    stack's own C order, and no fold is needed.
     """
-    sizes = tuple(mm.mean.shape[0] for mm in moments)
-    mrows, srows = _other_mode_rows(moments, 0, t)  # modes 1..M-1
-    m0 = moments[0].mean[:, t]
-    s0 = moments[0].second[:, t]
-    mean = m0 @ mrows.T  # (n_0, prod n_other), other modes lowest-fastest
-    second = np.einsum("iab,pab->ip", s0, srows)
-    # Invert unfold(mode=0): Fortran reshape restores the tensor layout.
-    return mean.reshape(sizes, order="F"), second.reshape(sizes, order="F")
+    rest = khatri_rao(factors[:0:-1])  # (T, P, k)
+    flat = factors[0].transpose(1, 0, 2) @ np.swapaxes(rest, 1, 2)
+    return flat.reshape(flat.shape[0], *(f.shape[0] for f in factors))
+
+
+def predicted_moments(moments: list[ModeMoments]) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and second moment of every reconstructed cell at every time.
+
+    Returns (E[m], E[m^2]), each a (T, *dims) stack, where m is the inner
+    product of the modes' latent rows: cp_stack of the means and of the
+    flattened second moments.  Used by the noise update and the exact
+    Gaussian objective.
+    """
+    return (
+        cp_stack([mm.mean for mm in moments]),
+        cp_stack([_flat_second(mm) for mm in moments]),
+    )
 
 
 def expected_sse(obs: ObservationSet, moments: list[ModeMoments]) -> float:
-    """sum over observed cells of E[(Y - m)^2] = Y^2 - 2 Y E[m] + E[m^2]."""
-    total = 0.0
-    for t in range(obs.horizon):
-        mean, second = predicted_moments(moments, t)
-        sq = obs.values[t] ** 2 - 2.0 * obs.values[t] * mean + second
-        if obs.mask is not None:
-            sq = sq * obs.mask[t]
-        total += float(sq.sum())
-    return total
+    """sum over observed cells of E[(Y - m)^2] = Y (Y - 2 E[m]) + E[m^2],
+    evaluated in place on the predicted_moments stacks."""
+    sq, second = predicted_moments(moments)
+    sq *= -2.0
+    sq += obs.values
+    sq *= obs.values
+    sq += second
+    if obs.mask is not None:
+        sq *= obs.mask
+    return float(sq.sum())
 
 
 def gaussian_noise_update(

@@ -100,6 +100,13 @@ def _kmeans_pp_centers(
     return centers
 
 
+def _farthest_movable(labels: np.ndarray, cost: np.ndarray, k: int) -> int:
+    """The first point of largest cost among those whose cluster keeps a
+    member without it (one exists while a cluster is empty and k <= n)."""
+    movable = np.bincount(labels, minlength=k)[labels] >= 2
+    return int(np.argmax(np.where(movable, cost, -1.0)))
+
+
 def kmeans_rows(
     X: np.ndarray,
     k: int,
@@ -112,8 +119,9 @@ def kmeans_rows(
 
     Deterministic given (X, k, restarts, seed); returns the best of
     `restarts` runs as (labels, centers, within-cluster sum of squares).
-    Emptied clusters are refilled with the point farthest from its center,
-    so every cluster is nonempty in the result.
+    An emptied cluster is refilled with the point farthest from its center
+    among the clusters of two or more members, so every cluster is
+    nonempty in the result.
 
     The restarts are seeded one after another from one RNG stream; their
     Lloyd iterations then run together as arrays over the runs that have
@@ -145,7 +153,7 @@ def kmeans_rows(
         for r in np.flatnonzero(~members.any(axis=2).all(axis=1)):
             for j in range(k):
                 if not np.any(lab[r] == j):
-                    far = int(np.argmax(point_cost[r]))
+                    far = _farthest_movable(lab[r], point_cost[r], k)
                     lab[r, far] = j
                     point_cost[r, far] = 0.0
             members[r] = lab[r] == clusters

@@ -13,8 +13,8 @@ from itertools import product
 
 import numpy as np
 
-from .engine import _sigmoid, cp_mean_slice
-from .likelihoods import ObservationSet
+from .engine import _sigmoid
+from .likelihoods import ObservationSet, cp_stack
 
 
 @dataclass
@@ -67,13 +67,6 @@ def _paths(start: np.ndarray, jumps: np.ndarray) -> np.ndarray:
     return out
 
 
-def _means_stack(factors: list[np.ndarray], sizes: tuple[int, ...]) -> np.ndarray:
-    T = factors[0].shape[1]
-    return np.stack(
-        [cp_mean_slice([f[:, t] for f in factors], sizes) for t in range(T)]
-    )
-
-
 def gen_case1(
     n: int,
     p: int,
@@ -93,7 +86,7 @@ def gen_case1(
     v0 = rng.standard_normal((p, d))
     U = _paths(u0, _random_walk_jumps(rng, n, T, d, rho, 1.0))
     V = _paths(v0, _random_walk_jumps(rng, p, T, d, rho, 1.0))
-    means = _means_stack([U, V], (n, p))
+    means = cp_stack([U, V])
     Y = means + sigma * rng.standard_normal(means.shape)
     obs = ObservationSet(kind="gaussian-matrix", values=Y)
     return SyntheticDataset(obs, [U, V], means, seed)
@@ -160,7 +153,7 @@ def gen_case3_tensor(
     for n_m in dims:
         start = rng.standard_normal((n_m, d))
         factors.append(_paths(start, _random_walk_jumps(rng, n_m, T, d, rho, 0.25)))
-    means = _means_stack(factors, tuple(dims))
+    means = cp_stack(factors)
     Y = means + sigma * rng.standard_normal(means.shape)
     obs = ObservationSet(kind="gaussian-tensor", values=Y)
     return SyntheticDataset(obs, factors, means, seed)

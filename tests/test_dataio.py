@@ -86,6 +86,25 @@ def test_write_matrix_matches_savetxt_bytes(tmp_path):
         assert ours.read_bytes() == ref.read_bytes(), i
 
 
+@pytest.mark.parametrize("shape", [(3, 4, 5), (2, 1, 6), (2, 3, 2, 4), (3, 1, 1)])
+def test_mask_files_match_integer_savetxt(tmp_path, shape):
+    # Masks are written by the value writer; for 0/1 cells its bytes are
+    # those of the per-slice integer savetxt it replaced, and they load back.
+    rng = np.random.default_rng(13)
+    Y = rng.standard_normal(shape)
+    mask = (rng.random(shape) < 0.6).astype(float)
+    kind = "gaussian-matrix" if len(shape) == 3 else "gaussian-tensor"
+    save_dataset(tmp_path / "ds", ObservationSet(kind, Y, mask))
+    for t in range(shape[0]):
+        ref = tmp_path / f"ref{t}.txt"
+        flat = mask[t].astype(int).reshape(shape[1], -1, order="F")
+        np.savetxt(ref, np.atleast_2d(flat), fmt="%d")
+        assert (tmp_path / "ds" / f"m{t:04d}.txt").read_bytes() == ref.read_bytes()
+    loaded, _ = load_dataset(tmp_path / "ds")
+    np.testing.assert_array_equal(loaded.mask, mask)
+    np.testing.assert_array_equal(loaded.values, Y)
+
+
 def test_load_dataset_failure_modes(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_dataset(tmp_path / "nowhere")

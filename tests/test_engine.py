@@ -13,7 +13,6 @@ from fusionshrink.engine import (
     FitResult,
     ModelConfig,
     ModeState,
-    cp_mean_slice,
     fit,
     predict_mean,
     predict_stack,
@@ -140,24 +139,6 @@ def test_predict_mean_network_intercept():
     off = ~np.eye(3, dtype=bool)
     np.testing.assert_allclose(probs[off], 1.0 / (1.0 + np.exp(2.0)), atol=1e-12)
     assert np.all(np.diag(probs) == 0.0)
-
-
-def test_cp_mean_slice_rank_one():
-    u = np.array([[1.0], [2.0]])
-    v = np.array([[1.0], [1.0]])
-    w = np.array([[1.0], [0.0]])
-    out = cp_mean_slice([u, v, w], (2, 2, 2))
-    expected = np.einsum("il,jl,kl->ijk", u, v, w)
-    np.testing.assert_allclose(out, expected, atol=1e-15)
-    assert out[1, 1, 0] == 2.0 and out[1, 1, 1] == 0.0
-
-
-def test_cp_mean_slice_matches_einsum():
-    rng = np.random.default_rng(1)
-    factors = [rng.standard_normal((n, 3)) for n in (4, 2, 5)]
-    out = cp_mean_slice(factors, (4, 2, 5))
-    expected = np.einsum("il,jl,kl->ijk", *factors)
-    np.testing.assert_allclose(out, expected, atol=1e-12)
 
 
 # ----- wiring: one block equals one manual smooth -------------------------------

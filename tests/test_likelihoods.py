@@ -1,5 +1,6 @@
 """Site builders against plug-in values, Monte Carlo, and brute force."""
 import re
+from itertools import product
 
 import numpy as np
 import pytest
@@ -11,10 +12,14 @@ from fusionshrink.likelihoods import (
     ObservationSet,
     bernoulli_site_subject,
     bernoulli_site_weights,
+    cp_stack,
+    expected_sse,
+    fold,
     gaussian_matrix_sites,
     gaussian_noise_update,
     hadamard_second_moment,
     intercept_update,
+    khatri_rao,
     logistic_quad_coeff,
     logistic_quad_const,
     pair_products,
@@ -554,47 +559,118 @@ def test_hadamard_matches_monte_carlo():
         assert rel < 0.01
 
 
+LETTERS = "abcdef"
+
+
 def test_unfold_roundtrip():
     rng = np.random.default_rng(11)
-    X = rng.standard_normal((3, 4, 5))
+    X = rng.standard_normal((2, 3, 4, 5))
     for m in range(3):
         U = unfold(X, m)
-        assert U.shape == (X.shape[m], X.size // X.shape[m])
+        assert U.shape == (2, X.shape[1 + m], X[0].size // X.shape[1 + m])
+        np.testing.assert_array_equal(fold(U, m, X.shape[1:]), X)
     # mode-0 unfolding columns follow Fortran order of the other axes
-    np.testing.assert_array_equal(unfold(X, 0), X.reshape(3, -1, order="F"))
+    np.testing.assert_array_equal(unfold(X, 0)[1], X[1].reshape(3, -1, order="F"))
+
+
+@pytest.mark.parametrize("dims", [(3, 4), (3, 2, 4), (2, 3, 2, 3)])
+def test_khatri_rao_unfold_fold_match_einsum(dims):
+    """Every helper of the CP layout against an index-by-index einsum, with
+    a time axis: unfold(Y, m) @ khatri_rao(others) contracts the data with
+    the other modes, and fold inverts unfold."""
+    rng = np.random.default_rng(17)
+    T, k = 3, 2
+    M = len(dims)
+    factors = [rng.standard_normal((n, T, k)) for n in dims]
+    Y = rng.standard_normal((T, *dims))
+    idx = LETTERS[:M]
+    for m in range(M):
+        others = [j for j in range(M) if j != m]
+        kr = khatri_rao([factors[j] for j in others])
+        # (T, n_o1, n_o2, ..., k): the product of every row combination;
+        # row i_o1 + n_o1 (i_o2 + ...) of kr, the lowest mode fastest.
+        sub = "".join(idx[j] for j in others)
+        ref = np.einsum(
+            ",".join(f"{c}tk" for c in sub) + f"->t{sub}k",
+            *[factors[j] for j in others],
+        )
+        ref = ref.transpose(0, *range(M - 1, 0, -1), M).reshape(T, -1, k)
+        np.testing.assert_allclose(kr, ref, rtol=1e-14)
+        unf = unfold(Y, m)
+        for t in range(T):
+            for col, rest in enumerate(
+                np.ndindex(*[dims[j] for j in others][::-1])
+            ):
+                cell = [0] * M
+                for j, i in zip(others, rest[::-1]):
+                    cell[j] = i
+                for i in range(dims[m]):
+                    cell[m] = i
+                    assert unf[t, i, col] == Y[(t, *cell)]
+        np.testing.assert_array_equal(fold(unf, m, dims), Y)
+        contracted = np.einsum(
+            f"t{idx}," + ",".join(f"{idx[j]}tk" for j in others) + f"->{idx[m]}tk",
+            Y,
+            *[factors[j] for j in others],
+        )
+        np.testing.assert_allclose(
+            (unf @ kr).transpose(1, 0, 2), contracted, rtol=1e-12, atol=1e-12
+        )
+
+
+def test_cp_stack_matches_einsum():
+    rng = np.random.default_rng(1)
+    T = 3
+    for dims in [(4, 2), (4, 2, 5), (2, 3, 2, 2)]:
+        factors = [rng.standard_normal((n, T, 3)) for n in dims]
+        out = cp_stack(factors)
+        idx = LETTERS[: len(dims)]
+        expected = np.einsum(
+            ",".join(f"{c}tl" for c in idx) + f"->t{idx}", *factors
+        )
+        assert out.flags.c_contiguous
+        np.testing.assert_allclose(out, expected, atol=1e-12)
+
+
+def test_cp_stack_rank_one():
+    u = np.array([[1.0], [2.0]])[:, None]
+    v = np.array([[1.0], [1.0]])[:, None]
+    w = np.array([[1.0], [0.0]])[:, None]
+    out = cp_stack([u, v, w])[0]
+    expected = np.einsum("il,jl,kl->ijk", u[:, 0], v[:, 0], w[:, 0])
+    np.testing.assert_allclose(out, expected, atol=1e-15)
+    assert out[1, 1, 0] == 2.0 and out[1, 1, 1] == 0.0
 
 
 def test_tensor_sites_match_brute_force():
     rng = np.random.default_rng(12)
-    T, dims, d = 2, (3, 3, 2), 2
-    moments = [random_moments(rng, n_m, T, d) for n_m in dims]
-    Y = rng.standard_normal((T,) + dims)
+    T, d = 2, 2
     alpha = 0.8
     noise = InverseGammaQ(2.0, 3.0)
     w = alpha * noise.mean_inverse
-    for mode in range(3):
-        P, h = tensor_sites(Y, moments, noise, alpha, mode)
-        others = [m for m in range(3) if m != mode]
-        for i in range(dims[mode]):
-            for t in range(T):
+    for dims, masked in product([(3, 3, 2), (2, 3, 2, 2)], [False, True]):
+        M = len(dims)
+        moments = [random_moments(rng, n_m, T, d) for n_m in dims]
+        Y = rng.standard_normal((T,) + dims)
+        mask = (rng.random(Y.shape) < 0.6).astype(float) if masked else None
+        for mode in range(M):
+            P, h = tensor_sites(Y, moments, noise, alpha, mode, mask)
+            others = [m for m in range(M) if m != mode]
+            for i, t in product(range(dims[mode]), range(T)):
                 P_ref = np.zeros((d, d))
                 h_ref = np.zeros(d)
-                for j in range(dims[others[0]]):
-                    for k in range(dims[others[1]]):
-                        sec = (
-                            moments[others[0]].second[j, t]
-                            * moments[others[1]].second[k, t]
-                        )
-                        mean = (
-                            moments[others[0]].mean[j, t]
-                            * moments[others[1]].mean[k, t]
-                        )
-                        idx = [0, 0, 0]
-                        idx[mode] = i
-                        idx[others[0]] = j
-                        idx[others[1]] = k
-                        P_ref += sec
-                        h_ref += Y[(t, *idx)] * mean
+                for rest in np.ndindex(*[dims[m] for m in others]):
+                    idx = [0] * M
+                    idx[mode] = i
+                    sec = np.ones((d, d))
+                    mean = np.ones(d)
+                    for m, j in zip(others, rest):
+                        idx[m] = j
+                        sec = sec * moments[m].second[j, t]
+                        mean = mean * moments[m].mean[j, t]
+                    obs = 1.0 if mask is None else mask[(t, *idx)]
+                    P_ref += obs * sec
+                    h_ref += obs * Y[(t, *idx)] * mean
                 np.testing.assert_allclose(P[i, t], w * P_ref, atol=1e-10)
                 np.testing.assert_allclose(h[i, t], w * h_ref, atol=1e-10)
 
@@ -663,12 +739,49 @@ def test_predicted_moments_point_mass():
     rng = np.random.default_rng(16)
     T, dims, d = 2, (3, 2, 2), 2
     moments = [random_moments(rng, n_m, T, d, point_mass=True) for n_m in dims]
-    mean, second = predicted_moments(moments, 1)
+    mean, second = predicted_moments(moments)
     ref = np.einsum(
-        "il,jl,kl->ijk",
-        moments[0].mean[:, 1],
-        moments[1].mean[:, 1],
-        moments[2].mean[:, 1],
+        "itl,jtl,ktl->tijk", moments[0].mean, moments[1].mean, moments[2].mean
     )
     np.testing.assert_allclose(mean, ref, atol=1e-12)
     np.testing.assert_allclose(second, ref**2, atol=1e-10)
+
+
+def predicted_moments_per_time(moments, t):
+    """The per-time formula predicted_moments replaced: mode 0 against the
+    Khatri-Rao rows of the others, built by a loop from the highest mode
+    down, then a Fortran reshape of the mode-0 unfolding."""
+    sizes = tuple(mm.mean.shape[0] for mm in moments)
+    mrows = moments[-1].mean[:, t]
+    srows = moments[-1].second[:, t]
+    for mm in moments[-2:0:-1]:
+        d = mrows.shape[-1]
+        mrows = (mrows[:, None, :] * mm.mean[:, t][None, :, :]).reshape(-1, d)
+        srows = (srows[:, None] * mm.second[:, t][None, :]).reshape(-1, d, d)
+    mean = moments[0].mean[:, t] @ mrows.T
+    second = np.einsum("iab,pab->ip", moments[0].second[:, t], srows)
+    return mean.reshape(sizes, order="F"), second.reshape(sizes, order="F")
+
+
+@pytest.mark.parametrize("dims", [(4, 3), (3, 2, 4), (2, 3, 2, 2)])
+def test_predicted_moments_match_per_time_formula(dims):
+    rng = np.random.default_rng(18)
+    T, d = 4, 2
+    moments = [random_moments(rng, n_m, T, d) for n_m in dims]
+    mean, second = predicted_moments(moments)
+    assert mean.shape == second.shape == (T, *dims)
+    Y = rng.standard_normal((T, *dims))
+    mask = (rng.random(Y.shape) < 0.7).astype(float)
+    sse = {None: 0.0, "mask": 0.0}
+    for t in range(T):
+        mean_t, second_t = predicted_moments_per_time(moments, t)
+        np.testing.assert_allclose(mean[t], mean_t, rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(second[t], second_t, rtol=1e-13, atol=1e-13)
+        sq = Y[t] ** 2 - 2.0 * Y[t] * mean_t + second_t
+        sse[None] += sq.sum()
+        sse["mask"] += (sq * mask[t]).sum()
+    kind = "gaussian-matrix" if len(dims) == 2 else "gaussian-tensor"
+    full = ObservationSet(kind, Y)
+    masked = ObservationSet(kind, Y, mask)
+    assert expected_sse(full, moments) == pytest.approx(sse[None], rel=1e-13)
+    assert expected_sse(masked, moments) == pytest.approx(sse["mask"], rel=1e-13)

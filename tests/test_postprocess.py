@@ -201,6 +201,39 @@ def test_kmeans_fills_empty_clusters():
     assert set(labels) == {0, 1}
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_kmeans_refill_never_empties_a_singleton(seed):
+    # Two distinct rows, three copies each, k = 4: the farthest point of a
+    # refill used to be a singleton's only member, leaving a NaN center.
+    X = np.array([[0.0, 0.0]] * 3 + [[1.0, 0.0]] * 3)
+    labels, centers, inertia = kmeans_rows(X, 4, seed=seed)
+    assert np.isfinite(centers).all() and np.isfinite(inertia)
+    assert set(labels.tolist()) == set(range(4))
+    ref_labels, ref_centers, ref_inertia = kmeans_rows_reference(X, 4, seed=seed)
+    np.testing.assert_array_equal(labels, ref_labels)
+    np.testing.assert_array_equal(centers, ref_centers)
+    assert inertia == ref_inertia
+
+
+def test_kmeans_duplicated_rows_panel():
+    """Rounded and duplicated rows with k up to 6: every center finite,
+    every label used, and the bits of the restart loop."""
+    rng = np.random.default_rng(21)
+    for case in range(60):
+        n = int(rng.integers(6, 16))
+        distinct = int(rng.integers(1, 5))
+        base = np.round(rng.standard_normal((distinct, 2)), 1)
+        X = base[rng.integers(distinct, size=n)]
+        k = int(rng.integers(1, 7))
+        labels, centers, inertia = kmeans_rows(X, k, restarts=3, seed=case)
+        assert np.isfinite(centers).all() and np.isfinite(inertia), case
+        assert set(labels.tolist()) == set(range(k)), case
+        ref = kmeans_rows_reference(X, k, restarts=3, seed=case)
+        np.testing.assert_array_equal(labels, ref[0])
+        np.testing.assert_array_equal(centers, ref[1])
+        assert inertia == ref[2]
+
+
 def kmeans_pp_reference(X, k, rng):
     """k-means++ seeding with `rng.choice` for the weighted draws."""
     n = X.shape[0]
@@ -234,7 +267,10 @@ def kmeans_rows_reference(X, k, restarts=10, iters=100, tol=1e-8, seed=0):
             point_cost = d2[np.arange(n), labels]
             for j in range(k):
                 if not np.any(labels == j):
-                    far = int(np.argmax(point_cost))
+                    # Only a cluster with two or more members gives a point.
+                    sizes = np.array([np.sum(labels == c) for c in range(k)])
+                    movable = np.flatnonzero(sizes[labels] >= 2)
+                    far = int(movable[np.argmax(point_cost[movable])])
                     labels[far] = j
                     point_cost[far] = 0.0
             for j in range(k):

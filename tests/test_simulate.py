@@ -5,7 +5,8 @@ import re
 import numpy as np
 import pytest
 
-from fusionshrink.engine import cp_mean_slice
+from fusionshrink import simulate as simulate_module
+from fusionshrink.dataio import save_dataset
 from fusionshrink.simulate import (
     gen_case1,
     gen_case2_network,
@@ -92,9 +93,8 @@ def test_case3_tensor_truth_consistency():
     assert data.observations.kind == "gaussian-tensor"
     assert data.observations.values.shape == (5,) + dims
     assert len(data.truth_factors) == 3
-    for t in range(5):
-        slice_t = cp_mean_slice([F[:, t] for F in data.truth_factors], dims)
-        np.testing.assert_allclose(data.truth_means[t], slice_t, atol=1e-12)
+    ref = np.einsum("itl,jtl,ktl->tijk", *data.truth_factors)
+    np.testing.assert_allclose(data.truth_means, ref, atol=1e-12)
     frozen = gen_case3_tensor(dims, T=4, rho=1.0, seed=1)
     np.testing.assert_array_equal(
         frozen.truth_means, np.repeat(frozen.truth_means[:1], 4, axis=0)
@@ -233,3 +233,41 @@ def test_boundary_arguments_are_accepted():
     gen_case3_tensor((1, 1, 1), 1, rho=0.0, sigma=0.0)
     gen_cluster_case(1, 1, p_stay=0.0)
     gen_two_movers(1, 1, transit_prob=1.0)
+
+
+def cp_mean_stack_per_time(factors):
+    """The reconstruction the generators used before cp_stack: per time,
+    mode 0 against Khatri-Rao rows built from the highest mode down, then
+    a Fortran reshape of the mode-0 unfolding."""
+    sizes = tuple(f.shape[0] for f in factors)
+    d = factors[0].shape[-1]
+    slices = []
+    for t in range(factors[0].shape[1]):
+        rows = np.ones((1, d))
+        for f in factors[:0:-1]:
+            rows = (rows[:, None, :] * f[:, t][None, :, :]).reshape(-1, d)
+        slices.append((factors[0][:, t] @ rows.T).reshape(sizes, order="F"))
+    return np.stack(slices)
+
+
+def test_generators_write_the_bytes_of_the_per_time_reconstruction(
+    tmp_path, monkeypatch
+):
+    def write_both(root):
+        one = gen_case1(n=7, p=5, T=12, seed=3)
+        three = gen_case3_tensor((4, 3, 5), T=9, seed=3)
+        save_dataset(root / "case1", one.observations, seed=3)
+        save_dataset(root / "case3", three.observations, seed=3)
+        return one.truth_means, three.truth_means
+
+    new = write_both(tmp_path / "new")
+    monkeypatch.setattr(simulate_module, "cp_stack", cp_mean_stack_per_time)
+    old = write_both(tmp_path / "old")
+    for a, b in zip(new, old):
+        np.testing.assert_array_equal(a, b)
+    for case in ("case1", "case3"):
+        files = sorted(p.name for p in (tmp_path / "old" / case).iterdir())
+        assert files == sorted(p.name for p in (tmp_path / "new" / case).iterdir())
+        for name in files:
+            old_bytes = (tmp_path / "old" / case / name).read_bytes()
+            assert (tmp_path / "new" / case / name).read_bytes() == old_bytes, name
