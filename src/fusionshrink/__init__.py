@@ -17,15 +17,9 @@ from .baselines import (
     svd_per_time,
     svd_windowed_all,
 )
-from .chain import (
-    ChainPosterior,
-    DegeneratePosteriorError,
-    GaussianChainPrior,
-    SitePotential,
-    chain_smooth,
-)
+from .chain import DegeneratePosteriorError
 from .dataio import load_dataset, load_fit_factors, save_dataset, save_fit, write_results_csv
-from .engine import CaviEngine, FitResult, ModelConfig, fit, predict_mean
+from .engine import CaviEngine, FitResult, ModelConfig, fit
 from .likelihoods import ObservationSet
 from .metrics import auc, discrepancy_matrix, pcc, rmse, transition_norm_heatmap
 from .postprocess import (
@@ -47,16 +41,12 @@ from .simulate import (
 
 __all__ = [
     "CaviEngine",
-    "ChainPosterior",
     "DegeneratePosteriorError",
     "FitResult",
-    "GaussianChainPrior",
     "ModelConfig",
     "ObservationSet",
-    "SitePotential",
     "SyntheticDataset",
     "auc",
-    "chain_smooth",
     "cp_als",
     "cp_per_time",
     "cv_fused_lasso",
@@ -76,7 +66,6 @@ __all__ = [
     "load_fit_factors",
     "misclustering_loss",
     "pcc",
-    "predict_mean",
     "rand_index",
     "rmse",
     "row_normalize",

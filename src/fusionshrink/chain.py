@@ -31,7 +31,6 @@ are exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,83 +44,6 @@ _NOT_PD = "chain total precision is not positive definite"
 
 def _sym(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + np.swapaxes(a, -1, -2))
-
-
-@dataclass
-class GaussianChainPrior:
-    """Zero-mean Gaussian chain prior.
-
-    theta_1 ~ N(0, I/init_precision) and
-    theta_{t+1} | theta_t ~ N(theta_t, I/transition_precisions[t]).
-
-    A transition precision of zero detaches neighbours (infinite-variance
-    step); init_precision of zero leaves the first point improper, which is
-    allowed as long as the site evidence makes the total precision regular.
-    """
-
-    dim: int
-    init_precision: float
-    transition_precisions: np.ndarray = field(default_factory=lambda: np.zeros(0))
-
-    def __post_init__(self) -> None:
-        self.transition_precisions = np.atleast_1d(
-            np.asarray(self.transition_precisions, dtype=float)
-        )
-        if self.transition_precisions.ndim != 1:
-            raise ValueError("transition_precisions must be one-dimensional")
-        if self.dim < 1:
-            raise ValueError("dim must be a positive integer")
-        if self.init_precision < 0 or not np.isfinite(self.init_precision):
-            raise ValueError("init_precision must be finite and nonnegative")
-        if np.any(self.transition_precisions < 0) or not np.all(
-            np.isfinite(self.transition_precisions)
-        ):
-            raise ValueError("transition precisions must be finite and nonnegative")
-
-    @property
-    def horizon(self) -> int:
-        return self.transition_precisions.shape[0] + 1
-
-
-@dataclass
-class SitePotential:
-    """Per-time Gaussian evidence for one chain, in natural form.
-
-    precision: (T, d, d), symmetric PSD per time slice.
-    shift: (T, d).
-
-    The evidence at time t contributes exp(-0.5 x' P_t x + h_t' x).
-    """
-
-    precision: np.ndarray
-    shift: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.precision = np.asarray(self.precision, dtype=float)
-        self.shift = np.asarray(self.shift, dtype=float)
-        if self.precision.ndim != 3 or self.precision.shape[-1] != self.precision.shape[-2]:
-            raise ValueError("precision must have shape (T, d, d)")
-        if self.shift.shape != self.precision.shape[:2]:
-            raise ValueError("shift must have shape (T, d) matching precision")
-
-    def validate_psd(self, atol: float = 1e-8) -> None:
-        asym = np.max(np.abs(self.precision - np.swapaxes(self.precision, -1, -2)))
-        if asym > atol:
-            raise ValueError(f"site precisions asymmetric by {asym:g}")
-        w = np.linalg.eigvalsh(_sym(self.precision))
-        if w.min() < -atol:
-            raise ValueError(f"site precision has eigenvalue {w.min():g} < 0")
-
-
-@dataclass
-class ChainPosterior:
-    """Marginals of the chain: means (T, d), covariances (T, d, d), and
-    adjacent cross-covariances cross_cov[t] = Cov(theta_t, theta_{t+1})
-    of shape (T-1, d, d)."""
-
-    mean: np.ndarray
-    cov: np.ndarray
-    cross_cov: np.ndarray
 
 
 def _axes_last(a: np.ndarray, k: int) -> np.ndarray:
@@ -430,10 +352,15 @@ def smooth_core(
 
     Parameters
     ----------
-    rho0 : (...,) initial precisions.
-    rho : (..., T-1) transition precisions.
-    precision : (..., T, d, d) site precisions.
-    shift : (..., T, d) site shifts.
+    rho0 : (...,) initial precisions, theta_1 ~ N(0, I/rho0).  Zero leaves
+        the first point improper, allowed while the sites make the total
+        precision regular.
+    rho : (..., T-1) transition precisions,
+        theta_{t+1} | theta_t ~ N(theta_t, I/rho_t).  Zero detaches
+        neighbours.
+    precision : (..., T, d, d) site precisions P_t, symmetric PSD.
+    shift : (..., T, d) site shifts h_t; the evidence at time t is
+        exp(-0.5 x' P_t x + h_t' x).
 
     Returns
     -------
@@ -490,35 +417,6 @@ def smooth_core(
     )
 
 
-def chain_smooth(prior: GaussianChainPrior, sites: SitePotential) -> ChainPosterior:
-    """Posterior marginals of one Gaussian chain given per-time evidence."""
-    T = sites.precision.shape[0]
-    if prior.horizon != T:
-        raise ValueError(
-            f"prior horizon {prior.horizon} does not match sites T={T}"
-        )
-    if sites.precision.shape[-1] != prior.dim:
-        raise ValueError("site dimension does not match prior dim")
-    mean, cov, cross = smooth_core(
-        np.asarray(prior.init_precision),
-        prior.transition_precisions,
-        sites.precision,
-        sites.shift,
-    )
-    return ChainPosterior(mean=mean, cov=cov, cross_cov=cross)
-
-
-def expected_transition_sq(post: ChainPosterior, t: int) -> float:
-    """E||theta_t - theta_{t+1}||^2 under the chain posterior (t zero-based)."""
-    diff = post.mean[t] - post.mean[t + 1]
-    return float(
-        diff @ diff
-        + np.trace(post.cov[t])
-        + np.trace(post.cov[t + 1])
-        - 2.0 * np.trace(post.cross_cov[t])
-    )
-
-
 def all_expected_transition_sq(
     mean: np.ndarray, cov: np.ndarray, cross: np.ndarray
 ) -> np.ndarray:
@@ -552,50 +450,3 @@ def chain_entropy(cov: np.ndarray, cross: np.ndarray) -> np.ndarray:
     return 0.5 * (logdet1 + np.sum(logdets, axis=-1)) + 0.5 * T * d * (
         1.0 + np.log(2 * np.pi)
     )
-
-
-def dense_joint_oracle(
-    prior: GaussianChainPrior, sites: SitePotential
-) -> ChainPosterior:
-    """Reference smoother: build and invert the full (T d) x (T d) precision.
-
-    Guarded to T*d <= 64; used by tests as the independent check on
-    chain_smooth.
-    """
-    T = sites.precision.shape[0]
-    d = prior.dim
-    if T * d > 64:
-        raise ValueError("dense oracle is limited to T*d <= 64")
-    if prior.horizon != T:
-        raise ValueError("prior horizon does not match sites")
-    joint = np.zeros((T * d, T * d))
-    hvec = np.zeros(T * d)
-    eye = np.eye(d)
-    for t in range(T):
-        sl = slice(t * d, (t + 1) * d)
-        joint[sl, sl] += sites.precision[t]
-        hvec[sl] = sites.shift[t]
-    joint[:d, :d] += prior.init_precision * eye
-    for t in range(T - 1):
-        r = prior.transition_precisions[t]
-        a = slice(t * d, (t + 1) * d)
-        b = slice((t + 1) * d, (t + 2) * d)
-        joint[a, a] += r * eye
-        joint[b, b] += r * eye
-        joint[a, b] -= r * eye
-        joint[b, a] -= r * eye
-    sign, _ = np.linalg.slogdet(joint)
-    if sign <= 0:
-        raise DegeneratePosteriorError("dense joint precision is singular")
-    cov_joint = np.linalg.inv(joint)
-    cov_joint = 0.5 * (cov_joint + cov_joint.T)
-    mu = cov_joint @ hvec
-    mean = mu.reshape(T, d)
-    cov = np.empty((T, d, d))
-    cross = np.empty((max(T - 1, 0), d, d))
-    for t in range(T):
-        sl = slice(t * d, (t + 1) * d)
-        cov[t] = cov_joint[sl, sl]
-        if t + 1 < T:
-            cross[t] = cov_joint[sl, (t + 1) * d : (t + 2) * d]
-    return ChainPosterior(mean=mean, cov=cov, cross_cov=cross)

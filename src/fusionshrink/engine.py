@@ -89,14 +89,19 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.d < 1:
-            raise ValueError("d must be >= 1")
+        for name in ("d", "inner_iters", "max_cycles"):
+            value = getattr(self, name)
+            integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            if not integer or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if not 0 < self.alpha <= 1:
             raise ValueError("alpha must lie in (0, 1]")
         if self.prior not in PRIORS:
             raise ValueError(f"prior must be one of {PRIORS}")
-        if self.inner_iters < 1 or self.max_cycles < 1:
-            raise ValueError("inner_iters and max_cycles must be >= 1")
+        for name in ("tol_rmse", "tol_auc"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be nonnegative and finite, got {value!r}")
         for name in (
             "intercept_prior_var", "a_sigma0", "b_sigma0", "a_sigma", "b_sigma",
             "a_trans", "b_trans", "init_cov",
@@ -186,27 +191,14 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def _link_logits(aux: AuxState, u: np.ndarray) -> np.ndarray:
-    """Network link logits b + u_i' u_j from positions u (..., n, d)."""
-    b = aux.intercept.mean if aux.intercept is not None else 0.0
-    return b + u @ np.swapaxes(u, -1, -2)
-
-
 def _link_probs(fit: FitResult, u: np.ndarray) -> np.ndarray:
-    """Network link probabilities from positions u (..., n, d), with the
-    structurally absent diagonal zeroed."""
-    probs = _sigmoid(_link_logits(fit.aux, u))
+    """Network link probabilities sigmoid(b + u_i' u_j) from positions u
+    (..., n, d), with the structurally absent diagonal zeroed."""
+    b = fit.aux.intercept.mean if fit.aux.intercept is not None else 0.0
+    probs = _sigmoid(b + u @ np.swapaxes(u, -1, -2))
     diag = np.arange(u.shape[-2])
     probs[..., diag, diag] = 0.0
     return probs
-
-
-def predict_mean(fit: FitResult, t: int) -> np.ndarray:
-    """Predicted mean slice at time t (probabilities for the network kind,
-    with the structurally absent diagonal zeroed)."""
-    if fit.kind == "bernoulli-network":
-        return _link_probs(fit, fit.modes[0].mean[:, t])
-    return cp_stack([st.mean[:, t : t + 1] for st in fit.modes])[0]
 
 
 def predict_stack(fit: FitResult) -> np.ndarray:

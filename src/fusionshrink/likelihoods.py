@@ -42,8 +42,10 @@ class NormalQ:
     var: float
 
     def __post_init__(self) -> None:
-        if self.var <= 0:
-            raise ValueError("variance must be positive")
+        if not np.isfinite(self.mean):
+            raise ValueError(f"mean must be finite, got {self.mean!r}")
+        if not (np.isfinite(self.var) and self.var > 0):
+            raise ValueError(f"variance must be positive and finite, got {self.var!r}")
 
     @property
     def second_moment(self) -> float:
@@ -322,20 +324,6 @@ def intercept_update(
     prec = 1.0 / prior_var - 2.0 * alpha * np.sum(curv * wgt)
     lin = alpha * np.sum((dyads.resid + 2.0 * curv * inner) * wgt)
     return NormalQ(mean=lin / prec, var=1.0 / prec)
-
-
-def hadamard_second_moment(
-    e_aat: np.ndarray, mu_b: np.ndarray, sigma_b: np.ndarray
-) -> np.ndarray:
-    """Second moment of an elementwise product of independent vectors:
-
-        E[(a o b)(a o b)'] = D(mu_b) E[aa'] D(mu_b) + E[aa'] o Sigma_b.
-
-    Chaining this across CP modes gives the exact evidence curvature for
-    tensors of any order.
-    """
-    d = np.asarray(mu_b, dtype=float)
-    return e_aat * np.outer(d, d) + e_aat * np.asarray(sigma_b, dtype=float)
 
 
 def khatri_rao(factors: list[np.ndarray]) -> np.ndarray:

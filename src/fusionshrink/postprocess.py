@@ -58,17 +58,6 @@ def sequential_align(
     return aligned, rots
 
 
-def window_alignment_loss(est: np.ndarray, truth: np.ndarray) -> float:
-    """inf_O sum_t ||est_t - truth_t O||_F^2 over one window: a single
-    orthogonal map for the whole (W, n, d) stack."""
-    est = np.asarray(est, dtype=float)
-    truth = np.asarray(truth, dtype=float)
-    A = est.reshape(-1, est.shape[-1])
-    B = truth.reshape(-1, truth.shape[-1])
-    O = solve_procrustes(A, B)
-    return float(np.sum((A - B @ O) ** 2))
-
-
 def row_normalize(X: np.ndarray) -> np.ndarray:
     """Scale each row to unit Euclidean norm; zero rows stay zero."""
     X = np.asarray(X, dtype=float)

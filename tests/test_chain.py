@@ -4,60 +4,51 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fusionshrink.chain import (
-    ChainPosterior,
     DegeneratePosteriorError,
-    GaussianChainPrior,
-    SitePotential,
     _chol_inverse,
     _diag_shifts,
     _sym,
     all_expected_transition_sq,
-    chain_smooth,
-    dense_joint_oracle,
-    expected_transition_sq,
     smooth_core,
 )
 from fusionshrink.scales import PRECISION_FLOOR
 
+from chain_reference import dense_joint_oracle, joint_precision
+
 
 def random_sites(rng, T, d, scale=1.0):
+    """Random PSD site precisions (T, d, d) and shifts (T, d)."""
     A = rng.standard_normal((T, d, d))
     P = scale * np.einsum("tij,tkj->tik", A, A)
     h = rng.standard_normal((T, d))
-    return SitePotential(precision=P, shift=h)
+    return P, h
 
 
 def test_single_time_conjugate():
     # T=1: prior precision 1, site precision I, zero shift.
     d = 3
-    prior = GaussianChainPrior(dim=d, init_precision=1.0, transition_precisions=[])
-    sites = SitePotential(precision=np.eye(d)[None], shift=np.zeros((1, d)))
-    post = chain_smooth(prior, sites)
-    np.testing.assert_allclose(post.mean, 0.0)
-    np.testing.assert_allclose(post.cov[0], 0.5 * np.eye(d))
-    assert post.cross_cov.shape == (0, d, d)
+    mean, cov, cross = smooth_core(1.0, np.zeros(0), np.eye(d)[None], np.zeros((1, d)))
+    np.testing.assert_allclose(mean, 0.0)
+    np.testing.assert_allclose(cov[0], 0.5 * np.eye(d))
+    assert cross.shape == (0, d, d)
 
 
 def test_two_step_scalar_frozen():
     # T=2, d=1, rho0=1, rho1=2, site precisions (1, 1), shifts (1, 0).
     # Joint precision [[4, -2], [-2, 3]] has inverse (1/8)[[3, 2], [2, 4]],
     # so mean = (3/8, 1/4), variances (3/8, 1/2), cross 1/4.
-    prior = GaussianChainPrior(dim=1, init_precision=1.0, transition_precisions=[2.0])
-    sites = SitePotential(
-        precision=np.ones((2, 1, 1)), shift=np.array([[1.0], [0.0]])
+    mean, cov, cross = smooth_core(
+        1.0, np.array([2.0]), np.ones((2, 1, 1)), np.array([[1.0], [0.0]])
     )
-    post = chain_smooth(prior, sites)
-    np.testing.assert_allclose(post.mean[:, 0], [3 / 8, 1 / 4], atol=1e-14)
-    np.testing.assert_allclose(post.cov[:, 0, 0], [3 / 8, 1 / 2], atol=1e-14)
-    np.testing.assert_allclose(post.cross_cov[0, 0, 0], 1 / 4, atol=1e-14)
+    np.testing.assert_allclose(mean[:, 0], [3 / 8, 1 / 4], atol=1e-14)
+    np.testing.assert_allclose(cov[:, 0, 0], [3 / 8, 1 / 2], atol=1e-14)
+    np.testing.assert_allclose(cross[0, 0, 0], 1 / 4, atol=1e-14)
 
 
-def assert_matches_oracle(prior, sites, atol=1e-8):
-    post = chain_smooth(prior, sites)
-    oracle = dense_joint_oracle(prior, sites)
-    np.testing.assert_allclose(post.mean, oracle.mean, atol=atol)
-    np.testing.assert_allclose(post.cov, oracle.cov, atol=atol)
-    np.testing.assert_allclose(post.cross_cov, oracle.cross_cov, atol=atol)
+def assert_matches_oracle(rho0, rho, P, h, atol=1e-8):
+    oracle = dense_joint_oracle(rho0, rho, P, h)
+    for got, ref in zip(smooth_core(rho0, rho, P, h), oracle):
+        np.testing.assert_allclose(got, ref, atol=atol)
 
 
 @settings(max_examples=40, deadline=None)
@@ -69,194 +60,126 @@ def assert_matches_oracle(prior, sites, atol=1e-8):
 )
 def test_matches_dense_oracle(T, d, seed, rho0):
     rng = np.random.default_rng(seed)
-    prior = GaussianChainPrior(
-        dim=d,
-        init_precision=rho0,
-        transition_precisions=rng.uniform(0.01, 5.0, size=T - 1),
-    )
-    assert_matches_oracle(prior, random_sites(rng, T, d))
+    rho = rng.uniform(0.01, 5.0, size=T - 1)
+    assert_matches_oracle(rho0, rho, *random_sites(rng, T, d))
 
 
 def test_zero_transition_detaches():
     # rho=0 between the two blocks: marginals equal independent inversions.
     rng = np.random.default_rng(7)
     d = 2
-    sites = random_sites(rng, 2, d, scale=1.0)
-    sites.precision += 0.5 * np.eye(d)
-    prior = GaussianChainPrior(dim=d, init_precision=1.0, transition_precisions=[0.0])
-    post = chain_smooth(prior, sites)
-    cov0 = np.linalg.inv(sites.precision[0] + np.eye(d))
-    cov1 = np.linalg.inv(sites.precision[1])
-    np.testing.assert_allclose(post.cov[0], cov0, atol=1e-10)
-    np.testing.assert_allclose(post.cov[1], cov1, atol=1e-10)
-    np.testing.assert_allclose(post.cross_cov[0], 0.0, atol=1e-12)
+    P, h = random_sites(rng, 2, d, scale=1.0)
+    P += 0.5 * np.eye(d)
+    _, cov, cross = smooth_core(1.0, np.array([0.0]), P, h)
+    np.testing.assert_allclose(cov[0], np.linalg.inv(P[0] + np.eye(d)), atol=1e-10)
+    np.testing.assert_allclose(cov[1], np.linalg.inv(P[1]), atol=1e-10)
+    np.testing.assert_allclose(cross[0], 0.0, atol=1e-12)
 
 
 def test_improper_init_regularised_by_sites():
     rng = np.random.default_rng(3)
     d = 2
-    sites = random_sites(rng, 4, d)
-    sites.precision += np.eye(d)
-    prior = GaussianChainPrior(
-        dim=d, init_precision=0.0, transition_precisions=[1.0, 2.0, 0.5]
-    )
-    assert_matches_oracle(prior, sites)
+    P, h = random_sites(rng, 4, d)
+    P += np.eye(d)
+    assert_matches_oracle(0.0, np.array([1.0, 2.0, 0.5]), P, h)
 
 
 def test_degenerate_posterior_raises():
     # Second block has no evidence and no coupling: singular total precision.
-    prior = GaussianChainPrior(dim=1, init_precision=1.0, transition_precisions=[0.0])
-    sites = SitePotential(
-        precision=np.array([[[1.0]], [[0.0]]]), shift=np.zeros((2, 1))
-    )
+    args = (1.0, np.array([0.0]), np.array([[[1.0]], [[0.0]]]), np.zeros((2, 1)))
     with pytest.raises(DegeneratePosteriorError):
-        chain_smooth(prior, sites)
+        smooth_core(*args)
     with pytest.raises(DegeneratePosteriorError):
-        dense_joint_oracle(prior, sites)
+        dense_joint_oracle(*args)
 
 
 def test_monotone_information():
     # Adding PSD evidence at one time never inflates any marginal covariance.
     rng = np.random.default_rng(11)
     T, d = 5, 2
-    prior = GaussianChainPrior(
-        dim=d, init_precision=0.7, transition_precisions=rng.uniform(0.1, 2.0, T - 1)
-    )
-    sites = random_sites(rng, T, d)
-    base = chain_smooth(prior, sites)
-    bumped = SitePotential(precision=sites.precision.copy(), shift=sites.shift.copy())
+    rho = rng.uniform(0.1, 2.0, T - 1)
+    P, h = random_sites(rng, T, d)
+    base_cov = smooth_core(0.7, rho, P, h)[1]
+    bumped = P.copy()
     inc = rng.standard_normal((d, d))
-    bumped.precision[2] += inc @ inc.T
-    post = chain_smooth(prior, bumped)
+    bumped[2] += inc @ inc.T
+    cov = smooth_core(0.7, rho, bumped, h)[1]
     for t in range(T):
-        assert np.trace(post.cov[t]) <= np.trace(base.cov[t]) + 1e-12
+        assert np.trace(cov[t]) <= np.trace(base_cov[t]) + 1e-12
 
 
 def test_time_reversal_symmetry():
     rng = np.random.default_rng(5)
     T, d = 6, 2
     rho = rng.uniform(0.2, 3.0, T - 1)
-    sites = random_sites(rng, T, d)
+    P, h = random_sites(rng, T, d)
     # Reversal swaps the roles of the endpoint precisions, so pin the ends
     # symmetrically: put the init precision in the first site instead.
-    prior_f = GaussianChainPrior(dim=d, init_precision=0.0, transition_precisions=rho)
-    prior_b = GaussianChainPrior(
-        dim=d, init_precision=0.0, transition_precisions=rho[::-1]
-    )
-    rev = SitePotential(precision=sites.precision[::-1], shift=sites.shift[::-1])
-    post_f = chain_smooth(prior_f, sites)
-    post_b = chain_smooth(prior_b, rev)
-    np.testing.assert_allclose(post_f.mean, post_b.mean[::-1], atol=1e-9)
-    np.testing.assert_allclose(post_f.cov, post_b.cov[::-1], atol=1e-9)
+    mean_f, cov_f, cross_f = smooth_core(0.0, rho, P, h)
+    mean_b, cov_b, cross_b = smooth_core(0.0, rho[::-1], P[::-1], h[::-1])
+    np.testing.assert_allclose(mean_f, mean_b[::-1], atol=1e-9)
+    np.testing.assert_allclose(cov_f, cov_b[::-1], atol=1e-9)
     # Cov(theta_t, theta_{t+1}) of the reversed chain is the transpose block.
     np.testing.assert_allclose(
-        post_f.cross_cov,
-        np.swapaxes(post_b.cross_cov[::-1], -1, -2),
-        atol=1e-9,
+        cross_f, np.swapaxes(cross_b[::-1], -1, -2), atol=1e-9
     )
 
 
 def test_expected_transition_sq_plugins():
     mean = np.array([[1.0, 0.0], [0.0, 0.0]])
     eye = np.stack([np.eye(2), np.eye(2)])
-    coupled = ChainPosterior(
-        mean=np.zeros((2, 2)), cov=eye, cross_cov=np.eye(2)[None]
-    )
-    assert expected_transition_sq(coupled, 0) == pytest.approx(0.0, abs=1e-14)
-    loose = ChainPosterior(mean=mean, cov=eye, cross_cov=np.zeros((1, 2, 2)))
-    assert expected_transition_sq(loose, 0) == pytest.approx(5.0)
-
-
-def joint_precision(prior, site_precision):
-    """The dense (T d) x (T d) precision of the chain posterior."""
-    T, d = site_precision.shape[:2]
-    prec = np.zeros((T * d, T * d))
-    eye = np.eye(d)
-    for t in range(T):
-        prec[t * d : (t + 1) * d, t * d : (t + 1) * d] += site_precision[t]
-    prec[:d, :d] += prior.init_precision * eye
-    for t in range(T - 1):
-        r = prior.transition_precisions[t]
-        a, b = slice(t * d, (t + 1) * d), slice((t + 1) * d, (t + 2) * d)
-        prec[a, a] += r * eye
-        prec[b, b] += r * eye
-        prec[a, b] -= r * eye
-        prec[b, a] -= r * eye
-    return prec
+    coupled = all_expected_transition_sq(np.zeros((2, 2)), eye, np.eye(2)[None])
+    assert coupled.shape == (1,)
+    assert coupled[0] == pytest.approx(0.0, abs=1e-14)
+    loose = all_expected_transition_sq(mean, eye, np.zeros((1, 2, 2)))
+    assert loose[0] == pytest.approx(5.0)
 
 
 def test_expected_transition_sq_monte_carlo():
     rng = np.random.default_rng(17)
     T, d = 4, 2
-    prior = GaussianChainPrior(
-        dim=d, init_precision=1.0, transition_precisions=rng.uniform(0.5, 2.0, T - 1)
-    )
-    sites = random_sites(rng, T, d)
-    post = chain_smooth(prior, sites)
+    rho = rng.uniform(0.5, 2.0, T - 1)
+    P, h = random_sites(rng, T, d)
+    e_trans = all_expected_transition_sq(*smooth_core(1.0, rho, P, h))
     # Sample the exact dense joint and average the squared transitions.
-    cov_joint = np.linalg.inv(joint_precision(prior, sites.precision))
-    mu = cov_joint @ sites.shift.ravel()
+    cov_joint = np.linalg.inv(joint_precision(1.0, rho, P))
+    mu = cov_joint @ h.ravel()
     draws = rng.multivariate_normal(mu, cov_joint, size=400_000)
     paths = draws.reshape(-1, T, d)
     for t in range(T - 1):
         mc = np.mean(np.sum((paths[:, t] - paths[:, t + 1]) ** 2, axis=1))
-        assert expected_transition_sq(post, t) == pytest.approx(mc, rel=0.01)
+        assert e_trans[t] == pytest.approx(mc, rel=0.01)
 
 
 def test_all_expected_transition_sq_matches_scalar():
+    # The vectorised form against the per-step definition
+    # ||E[theta_t - theta_{t+1}]||^2 + tr Cov(theta_t - theta_{t+1}).
     rng = np.random.default_rng(23)
     T, d = 5, 3
-    prior = GaussianChainPrior(
-        dim=d, init_precision=0.4, transition_precisions=rng.uniform(0.1, 1.0, T - 1)
-    )
-    post = chain_smooth(prior, random_sites(rng, T, d))
-    vec = all_expected_transition_sq(post.mean, post.cov, post.cross_cov)
+    rho = rng.uniform(0.1, 1.0, T - 1)
+    mean, cov, cross = smooth_core(0.4, rho, *random_sites(rng, T, d))
+    vec = all_expected_transition_sq(mean, cov, cross)
+    assert vec.shape == (T - 1,)
     for t in range(T - 1):
-        assert vec[t] == pytest.approx(expected_transition_sq(post, t), abs=1e-12)
-
-
-def test_validation_errors():
-    with pytest.raises(ValueError):
-        GaussianChainPrior(dim=0, init_precision=1.0)
-    with pytest.raises(ValueError):
-        GaussianChainPrior(dim=1, init_precision=-1.0)
-    with pytest.raises(ValueError):
-        GaussianChainPrior(dim=1, init_precision=1.0, transition_precisions=[-0.1])
-    with pytest.raises(ValueError):
-        SitePotential(precision=np.zeros((2, 2, 1)), shift=np.zeros((2, 2)))
-    asym = SitePotential(
-        precision=np.array([[[1.0, 0.5], [0.0, 1.0]]]), shift=np.zeros((1, 2))
-    )
-    with pytest.raises(ValueError):
-        asym.validate_psd()
-    prior = GaussianChainPrior(dim=2, init_precision=1.0, transition_precisions=[1.0])
-    short = SitePotential(precision=np.eye(2)[None], shift=np.zeros((1, 2)))
-    with pytest.raises(ValueError):
-        chain_smooth(prior, short)
+        diff = mean[t] - mean[t + 1]
+        diff_cov = cov[t] + cov[t + 1] - cross[t] - cross[t].T
+        assert vec[t] == pytest.approx(diff @ diff + np.trace(diff_cov), abs=1e-12)
 
 
 def test_dense_oracle_guard():
     T, d = 40, 2
-    prior = GaussianChainPrior(
-        dim=d, init_precision=1.0, transition_precisions=np.ones(T - 1)
-    )
-    sites = SitePotential(
-        precision=np.broadcast_to(np.eye(d), (T, d, d)).copy(), shift=np.zeros((T, d))
-    )
+    P = np.broadcast_to(np.eye(d), (T, d, d)).copy()
     with pytest.raises(ValueError, match="dense oracle"):
-        dense_joint_oracle(prior, sites)
+        dense_joint_oracle(1.0, np.ones(T - 1), P, np.zeros((T, d)))
 
 
 def test_zero_shift_zero_mean():
     rng = np.random.default_rng(9)
     T, d = 5, 2
-    prior = GaussianChainPrior(
-        dim=d, init_precision=1.0, transition_precisions=rng.uniform(0.5, 2.0, T - 1)
-    )
-    sites = random_sites(rng, T, d)
-    sites.shift[:] = 0.0
-    post = chain_smooth(prior, sites)
-    np.testing.assert_allclose(post.mean, 0.0, atol=1e-14)
+    rho = rng.uniform(0.5, 2.0, T - 1)
+    P, _ = random_sites(rng, T, d)
+    mean = smooth_core(1.0, rho, P, np.zeros((T, d)))[0]
+    np.testing.assert_allclose(mean, 0.0, atol=1e-14)
 
 
 # ----- reference recursion: the batched block-Thomas loop ----------------------
@@ -371,15 +294,14 @@ def test_single_chain_kernel_matches_batched_and_oracle(d, T, regime):
                 assert max_rel_err(got, ref[0]) <= 1e-12
             if T * d > 64:
                 continue
-            prior = GaussianChainPrior(d, rho0, rho)
-            oracle = dense_joint_oracle(prior, SitePotential(P, h))
+            oracle = dense_joint_oracle(rho0, rho, P, h)
             # The dense inverse loses digits with the conditioning of the
             # joint precision (rho near the floor nearly detaches the
             # rank-deficient blocks), so the bound is 1e-12 up to a
             # condition number of 1e4 and cond * 1e-16 beyond it.
-            cond = np.linalg.cond(joint_precision(prior, P))
+            cond = np.linalg.cond(joint_precision(rho0, rho, P))
             tol = 1e-12 * max(1.0, cond / 1e4)
-            for got, ref in zip(single, (oracle.mean, oracle.cov, oracle.cross_cov)):
+            for got, ref in zip(single, oracle):
                 assert max_rel_err(got, ref) <= tol
 
 
@@ -431,15 +353,14 @@ def test_cyclic_reduction_matches_loop_and_oracle(T, d, regime):
                 assert out.shape == out_ref.shape
             np.testing.assert_array_equal(got[1], np.swapaxes(got[1], -1, -2))
             for idx in np.ndindex(batch):
-                prior = GaussianChainPrior(d, float(rho0[idx]), rho[idx])
-                cond = np.linalg.cond(joint_precision(prior, P[idx]))
+                cond = np.linalg.cond(joint_precision(rho0[idx], rho[idx], P[idx]))
                 tol = 1e-12 * max(1.0, cond / (1e3 if regime == "spread" else 1e4))
                 for out, out_ref in zip(got, ref):
                     assert max_rel_err(out[idx], out_ref[idx]) <= tol
                 if T * d > 64:
                     continue
-                oracle = dense_joint_oracle(prior, SitePotential(P[idx], h[idx]))
-                for out, out_ref in zip(got, (oracle.mean, oracle.cov, oracle.cross_cov)):
+                oracle = dense_joint_oracle(rho0[idx], rho[idx], P[idx], h[idx])
+                for out, out_ref in zip(got, oracle):
                     assert max_rel_err(out[idx], out_ref) <= tol
 
 

@@ -138,6 +138,21 @@ def test_fit_non_finite_data_exits_2(tmp_path, capsys):
     assert "nan at index (1, 2, 3)" in err
 
 
+@pytest.mark.parametrize(
+    "scenario, field", [("case1", "tol_rmse"), ("cluster", "tol_auc")]
+)
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_fit_bad_tolerance_exits_2(tmp_path, capsys, scenario, field, tol):
+    data = simulate_small(tmp_path, scenario=scenario)
+    out = tmp_path / "o"
+    rc = run_cli("fit", "--data", str(data), "--tol", tol, "--out", str(out))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} must be nonnegative and finite"), err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_fit_data_at_extreme_scale_exits_2(tmp_path, capsys):
     # Values around 1e200 overflow the posterior; the fit must end in a
     # ValueError (a degenerate chain or a non-finite scale), never a

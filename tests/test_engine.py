@@ -14,11 +14,11 @@ from fusionshrink.engine import (
     ModelConfig,
     ModeState,
     fit,
-    predict_mean,
     predict_stack,
 )
 from fusionshrink.likelihoods import (
     ObservationSet,
+    cp_stack,
     expected_sse,
     logistic_quad_coeff,
     logistic_quad_const,
@@ -100,6 +100,18 @@ def test_config_validation():
             with pytest.raises(ValueError, match=f"^{name} must be positive"):
                 ModelConfig(**{name: value})
         ModelConfig(**{name: 1e-300})  # any positive finite value is allowed
+    # A NaN tolerance never stops a fit (every comparison with it is
+    # false), so fits would silently run max_cycles sweeps.
+    for name in ("tol_rmse", "tol_auc"):
+        for value in (-1e-12, -1.0, np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError, match=f"^{name} must be nonnegative"):
+                ModelConfig(**{name: value})
+        ModelConfig(**{name: 0.0})  # a fixed sweep count, as fitbench runs
+    for name in ("d", "inner_iters", "max_cycles"):
+        for value in (1.5, 2.0, "2", None, True, 0, -3, np.int64(0)):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1"):
+                ModelConfig(**{name: value})
+        assert getattr(ModelConfig(**{name: np.int64(2)}), name) == 2
 
 
 def test_engine_rejects_bad_shapes():
@@ -122,7 +134,7 @@ def test_predict_mean_matrix_identity():
         modes=[mode_from_means(eye.copy()), mode_from_means(eye.copy())],
         aux=AuxState(),
     )
-    np.testing.assert_allclose(predict_mean(result, 0), np.eye(2), atol=1e-15)
+    np.testing.assert_allclose(predict_stack(result)[0], np.eye(2), atol=1e-15)
 
 
 def test_predict_mean_network_intercept():
@@ -135,7 +147,7 @@ def test_predict_mean_network_intercept():
         modes=[mode_from_means(means)],
         aux=AuxState(intercept=NormalQ(-2.0, 1.0)),
     )
-    probs = predict_mean(result, 0)
+    probs = predict_stack(result)[0]
     off = ~np.eye(3, dtype=bool)
     np.testing.assert_allclose(probs[off], 1.0 / (1.0 + np.exp(2.0)), atol=1e-12)
     assert np.all(np.diag(probs) == 0.0)
@@ -559,7 +571,7 @@ def test_fit_improves_over_noise_floor():
     Y = truth + 0.5 * rng.standard_normal((T, n, p))
     obs = ObservationSet(kind="gaussian-matrix", values=Y)
     result = fit(obs, ModelConfig(d=2, max_cycles=30))
-    pred = np.stack([predict_mean(result, t) for t in range(T)])
+    pred = predict_stack(result)
     err_fit = np.sqrt(np.mean((pred - truth) ** 2))
     err_raw = np.sqrt(np.mean((Y - truth) ** 2))
     assert err_fit < 0.6 * err_raw
@@ -569,7 +581,7 @@ def test_fit_network_smoke():
     rng = np.random.default_rng(10)
     obs = network_obs(rng, 3, 6)
     result = fit(obs, ModelConfig(d=2, intercept=True, max_cycles=4))
-    probs = predict_mean(result, 1)
+    probs = predict_stack(result)[1]
     assert probs.shape == (6, 6)
     assert np.all((probs >= 0) & (probs <= 1))
     np.testing.assert_allclose(probs, probs.T, atol=1e-12)
@@ -604,7 +616,10 @@ def test_predict_stack_equals_per_time_slices(case):
             slices.append(probs)
         np.testing.assert_array_equal(stack, np.swapaxes(stack, 1, 2))
     else:
-        slices = [predict_mean(result, t) for t in range(obs.horizon)]
+        slices = [
+            cp_stack([st.mean[:, t : t + 1] for st in result.modes])[0]
+            for t in range(obs.horizon)
+        ]
     np.testing.assert_array_equal(stack, np.stack(slices))
 
 
@@ -613,7 +628,7 @@ def test_fit_tensor_smoke():
     obs = tensor_obs(rng, 3, (4, 3, 3))
     result = fit(obs, ModelConfig(d=2, max_cycles=3))
     assert len(result.modes) == 3
-    pred = predict_mean(result, 0)
+    pred = predict_stack(result)[0]
     assert pred.shape == (4, 3, 3)
     assert np.isfinite(result.trace).all()
 

@@ -1,4 +1,5 @@
-"""Importing the package stays light: no scipy module it uses only lazily."""
+"""The package's import surface: every exported name resolves, and importing
+stays light (no scipy module it uses only lazily)."""
 import os
 import subprocess
 import sys
@@ -26,3 +27,10 @@ def test_import_loads_neither_scipy_stats_nor_optimize():
         timeout=120,
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_all_names_resolve_once():
+    names = fusionshrink.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        assert getattr(fusionshrink, name) is not None, name

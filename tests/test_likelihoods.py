@@ -17,7 +17,6 @@ from fusionshrink.likelihoods import (
     fold,
     gaussian_matrix_sites,
     gaussian_noise_update,
-    hadamard_second_moment,
     intercept_update,
     khatri_rao,
     logistic_quad_coeff,
@@ -528,16 +527,43 @@ def test_intercept_maximises_tangent_bound():
     assert q.mean == pytest.approx(best, abs=1e-3)
 
 
+@pytest.mark.parametrize(
+    "mean, var, message",
+    [
+        (np.nan, 1.0, "mean must be finite"),
+        (np.inf, 1.0, "mean must be finite"),
+        (-np.inf, 1.0, "mean must be finite"),
+        (0.0, np.nan, "variance must be positive and finite"),
+        (0.0, np.inf, "variance must be positive and finite"),
+        (0.0, 0.0, "variance must be positive and finite"),
+        (0.0, -1.0, "variance must be positive and finite"),
+    ],
+)
+def test_normal_q_rejects_non_finite_or_non_positive(mean, var, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        NormalQ(mean, var)
+    q = NormalQ(-2.0, 1e-300)  # any finite mean and positive finite variance
+    assert q.second_moment == pytest.approx(4.0)
+
+
 # ----- hadamard and tensor sites ----------------------------------------------
+
+
+def hadamard_moment(e_aat, mu_b, sigma_b):
+    """E[(a o b)(a o b)'] of independent a and b, given E[aa'], E[b] and
+    Cov(b), as the tensor sites form it: khatri_rao of the flattened second
+    moments E[aa'] and E[bb'], for one subject at one time."""
+    d = len(mu_b)
+    e_bbt = sigma_b + np.outer(mu_b, mu_b)
+    flat = [e_aat.reshape(1, 1, d * d), e_bbt.reshape(1, 1, d * d)]
+    return khatri_rao(flat).reshape(d, d)
 
 
 def test_hadamard_plugins():
     E = np.array([[2.0, 0.3], [0.3, 1.0]])
+    np.testing.assert_allclose(hadamard_moment(E, np.ones(2), np.zeros((2, 2))), E)
     np.testing.assert_allclose(
-        hadamard_second_moment(E, np.ones(2), np.zeros((2, 2))), E
-    )
-    np.testing.assert_allclose(
-        hadamard_second_moment(np.eye(2), np.zeros(2), np.eye(2)), np.eye(2)
+        hadamard_moment(np.eye(2), np.zeros(2), np.eye(2)), np.eye(2)
     )
 
 
@@ -549,7 +575,7 @@ def test_hadamard_matches_monte_carlo():
         Aa, Ab = rng.standard_normal((2, d, d))
         Sa, Sb = 0.4 * Aa @ Aa.T, 0.4 * Ab @ Ab.T
         e_aat = Sa + np.outer(mu_a, mu_a)
-        expected = hadamard_second_moment(e_aat, mu_b, Sb)
+        expected = hadamard_moment(e_aat, mu_b, Sb)
         m = 1_000_000
         a = rng.multivariate_normal(mu_a, Sa, size=m)
         b = rng.multivariate_normal(mu_b, Sb, size=m)

@@ -11,7 +11,6 @@ from fusionshrink.postprocess import (
     row_normalize,
     sequential_align,
     solve_procrustes,
-    window_alignment_loss,
 )
 
 
@@ -113,18 +112,6 @@ def test_sequential_align_preserves_gram():
             aligned[t] @ aligned[t].T, traj[t] @ traj[t].T, atol=1e-12
         )
         np.testing.assert_allclose(rots[t].T @ rots[t], np.eye(3), atol=1e-12)
-
-
-def test_window_alignment_loss():
-    rng = np.random.default_rng(7)
-    truth = rng.standard_normal((3, 5, 2))
-    q, _ = np.linalg.qr(rng.standard_normal((2, 2)))
-    est = truth @ q.T
-    assert window_alignment_loss(est, truth) == pytest.approx(0.0, abs=1e-18)
-    est2 = est + 0.1
-    A = est2.reshape(-1, 2)
-    B = truth.reshape(-1, 2)
-    assert window_alignment_loss(est2, truth) <= rotation_grid_cost(A, B) + 1e-6
 
 
 # ----- normalisation --------------------------------------------------------------
