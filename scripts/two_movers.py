@@ -9,10 +9,10 @@ import argparse
 
 import numpy as np
 
-from fusionshrink.benchmark import _config, mover_scores
+from fusionshrink.benchmark import _config
 from fusionshrink.engine import fit
 from fusionshrink.metrics import transition_norm_heatmap
-from fusionshrink.postprocess import sequential_align
+from fusionshrink.postprocess import align_modes
 from fusionshrink.simulate import gen_two_movers
 
 
@@ -28,12 +28,12 @@ def main() -> None:
     data = gen_two_movers(args.n, args.T, transit_prob=args.transit_prob, seed=args.seed)
     result = fit(data.observations, _config(2, args.seed, None))
 
-    aligned, _ = sequential_align(result.modes[0].mean.transpose(1, 0, 2))
-    heat = transition_norm_heatmap(aligned)
+    [aligned] = align_modes([result.modes[0].mean])
+    heat = transition_norm_heatmap(aligned.transpose(1, 0, 2))
     # Collapse T-1 transitions into coarse buckets for terminal display.
     edges = np.linspace(0, heat.shape[1], args.buckets + 1).astype(int)
     marks = " .:*#"
-    top = np.argsort(mover_scores(result))[-2:]
+    top = np.argsort(heat.max(axis=1))[-2:]  # as benchmark.mover_scores
     print(f"n={args.n} T={args.T} transit_prob={args.transit_prob} seed={args.seed}")
     print(f"largest scores at subjects {sorted(int(i) for i in top)} (movers are 0 and 1)")
     scale = heat.max()

@@ -23,6 +23,7 @@ from .engine import CaviEngine, FitResult, ModelConfig, fit
 from .likelihoods import ObservationSet
 from .metrics import auc, discrepancy_matrix, pcc, rmse, transition_norm_heatmap
 from .postprocess import (
+    align_modes,
     kmeans_rows,
     misclustering_loss,
     rand_index,
@@ -46,6 +47,7 @@ __all__ = [
     "ModelConfig",
     "ObservationSet",
     "SyntheticDataset",
+    "align_modes",
     "auc",
     "cp_als",
     "cp_per_time",

@@ -44,15 +44,9 @@ def svd_windowed(Ys: np.ndarray, t: int) -> np.ndarray:
     T, n, p = Ys.shape
     if not 0 <= t < T:
         raise ValueError("time index out of range")
-    if T == 1:
-        window, pos = [Ys[0]], 0
-    elif t == 0:
-        window, pos = [Ys[0], Ys[1]], 0
-    elif t == T - 1:
-        window, pos = [Ys[T - 2], Ys[T - 1]], 1
-    else:
-        window, pos = [Ys[t - 1], Ys[t], Ys[t + 1]], 1
-    stacked = np.concatenate(window, axis=1)
+    lo = max(t - 1, 0)
+    pos = t - lo
+    stacked = np.concatenate(Ys[lo : t + 2], axis=1)
     rank = optimal_hard_threshold_rank(stacked)
     if rank == 0:
         return np.zeros((n, p))

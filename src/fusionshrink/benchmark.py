@@ -19,7 +19,7 @@ from .baselines import (
 )
 from .engine import FitResult, ModelConfig, fit, predict_stack
 from .metrics import pcc, rmse, transition_norm_heatmap
-from .postprocess import kmeans_rows, rand_index, row_normalize, sequential_align
+from .postprocess import align_modes, kmeans_rows, rand_index, row_normalize
 from .simulate import (
     SyntheticDataset,
     gen_case1,
@@ -160,13 +160,9 @@ def cluster_labels_over_time(
 ) -> np.ndarray:
     """Normalise rows, resolve rotations sequentially, then k-means each
     time slice.  trajectory is (n, T, d); returns labels (T, n)."""
-    paths = trajectory.transpose(1, 0, 2)  # (T, n, d)
-    aligned, _ = sequential_align(row_normalize(paths))
-    T = aligned.shape[0]
-    labels = np.empty((T, aligned.shape[1]), dtype=int)
-    for t in range(T):
-        labels[t], _, _ = kmeans_rows(aligned[t], k, restarts=restarts, seed=seed)
-    return labels
+    [aligned] = align_modes([row_normalize(trajectory)])
+    slices = aligned.transpose(1, 0, 2)  # (T, n, d)
+    return np.array([kmeans_rows(x, k, restarts=restarts, seed=seed)[0] for x in slices])
 
 
 def mean_rand_index(data: SyntheticDataset, result: FitResult, k: int) -> float:
@@ -229,9 +225,8 @@ def mover_scores(result: FitResult) -> np.ndarray:
     the rotation-aligned fitted trajectory.  Alignment is essential; raw
     posterior means carry per-time rotation drift that shows up as
     spurious movement for every subject."""
-    aligned, _ = sequential_align(result.modes[0].mean.transpose(1, 0, 2))
-    heat = transition_norm_heatmap(aligned)
-    return heat.max(axis=1)
+    [aligned] = align_modes([result.modes[0].mean])
+    return transition_norm_heatmap(aligned.transpose(1, 0, 2)).max(axis=1)
 
 
 def run_two_movers(

@@ -25,7 +25,7 @@ from .dataio import (
     write_slices,
 )
 from .engine import ModelConfig, fit
-from .postprocess import kmeans_rows, row_normalize, sequential_align
+from .postprocess import align_modes, kmeans_rows, row_normalize
 from .simulate import (
     gen_case1,
     gen_case2_network,
@@ -123,29 +123,22 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
 
 
 def cmd_postprocess(args: argparse.Namespace) -> int:
-    factors, entries = load_fit_factors(args.fit)
-    if args.align and len(factors) > 2:
-        raise ValueError(
-            "--align is undefined for fits with more than two latent modes"
-        )
-    paths = [f.transpose(1, 0, 2) for f in factors]  # (T, n, d) each
+    paths, entries = load_fit_factors(args.fit)
     if args.normalize:
         paths = [row_normalize(p) for p in paths]
     if args.align:
-        if len(paths) == 1:
-            paths[0], _ = sequential_align(paths[0])
-        else:
-            stacked, _ = sequential_align(np.concatenate(paths, axis=1))
-            n0 = paths[0].shape[1]
-            paths = [stacked[:, :n0], stacked[:, n0:]]
+        paths = align_modes(paths)
+        if paths is None:
+            raise ValueError(
+                "--align is undefined for fits with more than two latent modes"
+            )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_factors(out, "post_m", [p.transpose(1, 0, 2) for p in paths])
+    write_factors(out, "post_m", paths)
     if args.kmeans is not None:
         seed = int(entries.get("seed", "0"))
-        labels = np.empty((paths[0].shape[0], paths[0].shape[1]), dtype=int)
-        for t in range(labels.shape[0]):
-            labels[t], _, _ = kmeans_rows(paths[0][t], args.kmeans, seed=seed)
+        slices = paths[0].transpose(1, 0, 2)  # (T, n, d)
+        labels = [kmeans_rows(x, args.kmeans, seed=seed)[0] for x in slices]
         np.savetxt(out / "labels.txt", labels, fmt="%d")
     print(f"postprocess: {len(paths)} mode(s) -> {out}")
     return 0

@@ -17,7 +17,7 @@ import numpy as np
 
 from .engine import FitResult, predict_stack
 from .likelihoods import KINDS, ObservationSet, fold, unfold
-from .postprocess import sequential_align
+from .postprocess import align_modes
 
 _FMT = "%.17g"
 
@@ -61,19 +61,23 @@ def save_dataset(
     return directory
 
 
-def _parse_manifest(path: Path) -> dict[str, str]:
+def _read_keys(path: Path, required: tuple[str, ...]) -> dict[str, str]:
+    """The key=value lines of a manifest or summary file; names the file by
+    its stem in the errors for a missing file or a missing required key."""
     if not path.is_file():
-        raise FileNotFoundError(f"missing manifest: {path}")
+        raise FileNotFoundError(f"missing {path.stem}: {path}")
     entries: dict[str, str] = {}
     for line in path.read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
         key, _, value = line.partition("=")
         entries[key.strip()] = value.strip()
-    for key in ("format_version", "kind", "dims", "T"):
+    for key in required:
         if key not in entries:
-            raise ValueError(f"manifest missing '{key}': {path}")
+            raise ValueError(f"{path.stem} missing '{key}': {path}")
+    return entries
+
+
+def _parse_manifest(path: Path) -> dict[str, str]:
+    entries = _read_keys(path, ("format_version", "kind", "dims", "T"))
     if entries["format_version"] != "1":
         raise ValueError(f"unsupported format_version={entries['format_version']}")
     if entries["kind"] not in KINDS:
@@ -124,35 +128,15 @@ def write_factors(directory: str | Path, prefix: str, factors: list[np.ndarray])
         _write_matrix(directory / f"{prefix}{k}.txt", _stack_time_major(factor))
 
 
-def aligned_trajectories(fit: FitResult) -> list[np.ndarray] | None:
-    """Rotation-resolved factor paths, or None where alignment is not
-    defined (more than two latent modes).
-
-    Matrix kinds rotate both modes by the transform fitted on the rows of
-    the two factor blocks stacked per time step; the network kind aligns
-    its single mode directly.
-    """
-    means = [m.mean for m in fit.modes]
-    if len(means) == 1:
-        return [sequential_align(means[0].transpose(1, 0, 2))[0].transpose(1, 0, 2)]
-    if len(means) == 2:
-        stacked = np.concatenate(means, axis=0)
-        aligned, _ = sequential_align(stacked.transpose(1, 0, 2))
-        aligned = aligned.transpose(1, 0, 2)
-        n0 = means[0].shape[0]
-        return [aligned[:n0], aligned[n0:]]
-    return None
-
-
 def save_fit(directory: str | Path, fit: FitResult) -> Path:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    sizes = [m.mean.shape[0] for m in fit.modes]
+    means = [mode.mean for mode in fit.modes]
     lines = [
         "format_version=1",
         f"kind={fit.kind}",
-        "mode_sizes=" + ",".join(str(s) for s in sizes),
-        f"T={fit.modes[0].mean.shape[1]}",
+        "mode_sizes=" + ",".join(str(m.shape[0]) for m in means),
+        f"T={means[0].shape[1]}",
         f"d={fit.config.d}",
         f"prior={fit.config.prior}",
         f"alpha={_FMT % fit.config.alpha}",
@@ -168,8 +152,8 @@ def save_fit(directory: str | Path, fit: FitResult) -> Path:
     (directory / "trace.txt").write_text(
         "".join(_FMT % v + "\n" for v in fit.trace)
     )
-    write_factors(directory, "mean_m", [mode.mean for mode in fit.modes])
-    aligned = aligned_trajectories(fit)
+    write_factors(directory, "mean_m", means)
+    aligned = align_modes(means)
     if aligned is not None:
         write_factors(directory, "aligned_m", aligned)
     write_slices(directory, "predicted_t", predict_stack(fit))
@@ -180,13 +164,7 @@ def load_fit_factors(directory: str | Path) -> tuple[list[np.ndarray], dict[str,
     """Read mean_m{k}.txt files back as (n_k, T, d) arrays plus the
     summary entries."""
     directory = Path(directory)
-    summary_path = directory / "summary.txt"
-    if not summary_path.is_file():
-        raise FileNotFoundError(f"missing summary: {summary_path}")
-    entries: dict[str, str] = {}
-    for line in summary_path.read_text().splitlines():
-        key, _, value = line.partition("=")
-        entries[key.strip()] = value.strip()
+    entries = _read_keys(directory / "summary.txt", ("mode_sizes",))
     sizes = [int(s) for s in entries["mode_sizes"].split(",")]
     factors = []
     for k, n in enumerate(sizes):

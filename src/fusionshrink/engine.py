@@ -299,15 +299,11 @@ class CaviEngine:
                 mean[:, t] = V[:, idx] * np.sqrt(np.clip(w[idx], 1e-2, None))
             return [mean]
         if self.kind == "gaussian-matrix":
-            n, p = self.obs.dims
-            mu = np.empty((n, T, d))
-            mv = np.empty((p, T, d))
-            for t in range(T):
-                U, s, Vt = np.linalg.svd(Y[t], full_matrices=False)
-                root = np.sqrt(s[:d])
-                mu[:, t] = U[:, :d] * root
-                mv[:, t] = Vt[:d].T * root
-            return [mu, mv]
+            U, s, Vt = np.linalg.svd(Y, full_matrices=False)
+            root = np.sqrt(s[:, None, :d])
+            mu = U[..., :d] * root
+            mv = Vt[:, :d].transpose(0, 2, 1) * root
+            return [np.ascontiguousarray(m.transpose(1, 0, 2)) for m in (mu, mv)]
         # gaussian-tensor: HOSVD-style per-mode unfolding factors.
         M = len(self.sizes)
         means = []

@@ -58,6 +58,22 @@ def sequential_align(
     return aligned, rots
 
 
+def align_modes(paths: list[np.ndarray]) -> list[np.ndarray] | None:
+    """Rotation-resolved subject-major (n_m, T, d) paths of a fit's latent
+    modes, or None where no shared rotation is defined (more than two
+    modes).
+
+    One mode is aligned alone.  Two modes share one rotation per time,
+    fitted on their rows stacked: M_t = U_t V_t' is unchanged only when
+    both factors turn by the same O."""
+    if len(paths) > 2:
+        return None
+    stacked = np.concatenate([p.transpose(1, 0, 2) for p in paths], axis=1)
+    aligned, _ = sequential_align(stacked)
+    splits = np.cumsum([p.shape[0] for p in paths])[:-1]
+    return [a.transpose(1, 0, 2) for a in np.split(aligned, splits, axis=1)]
+
+
 def row_normalize(X: np.ndarray) -> np.ndarray:
     """Scale each row to unit Euclidean norm; zero rows stay zero."""
     X = np.asarray(X, dtype=float)

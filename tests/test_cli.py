@@ -234,6 +234,19 @@ def test_postprocess_missing_fit_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_postprocess_summary_without_mode_sizes_exits_2(tmp_path, capsys):
+    data = simulate_small(tmp_path)
+    fit_dir = tmp_path / "fit"
+    assert run_cli(
+        "fit", "--data", str(data), "--max-cycles", "1", "--out", str(fit_dir)
+    ) == 0
+    (fit_dir / "summary.txt").write_text("kind=gaussian-matrix\nT=3\n")
+    capsys.readouterr()
+    rc = run_cli("postprocess", "--fit", str(fit_dir), "--out", str(tmp_path / "o"))
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: summary missing 'mode_sizes'")
+
+
 @pytest.mark.skipif(shutil.which("fusionshrink") is None, reason="script not installed")
 def test_console_script_exit_code(tmp_path):
     proc = subprocess.run(

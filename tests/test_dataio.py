@@ -4,7 +4,6 @@ import pytest
 
 from fusionshrink.dataio import (
     _write_matrix,
-    aligned_trajectories,
     load_dataset,
     load_fit_factors,
     save_dataset,
@@ -164,7 +163,6 @@ def test_fit_artifacts_roundtrip(tmp_path):
 def test_tensor_fit_has_no_aligned_files(tmp_path):
     data = gen_case3_tensor((3, 3, 3), T=2, seed=1)
     result = fit(data.observations, ModelConfig(d=2, max_cycles=2))
-    assert aligned_trajectories(result) is None
     out = save_fit(tmp_path / "fit", result)
     assert not (out / "aligned_m0.txt").exists()
     factors, _ = load_fit_factors(out)
@@ -172,8 +170,19 @@ def test_tensor_fit_has_no_aligned_files(tmp_path):
 
 
 def test_load_fit_factors_missing(tmp_path):
-    with pytest.raises(FileNotFoundError):
+    with pytest.raises(FileNotFoundError, match="missing summary"):
         load_fit_factors(tmp_path / "nowhere")
+
+
+@pytest.mark.parametrize(
+    "summary", ["format_version=1\nkind=gaussian-matrix\nT=4\n", "\x00garbage\n\n"]
+)
+def test_load_fit_factors_summary_without_mode_sizes(tmp_path, summary):
+    data = gen_case1(4, 3, 4, seed=7)
+    out = save_fit(tmp_path / "fit", fit(data.observations, ModelConfig(d=2, max_cycles=1)))
+    (out / "summary.txt").write_text(summary)
+    with pytest.raises(ValueError, match="summary missing 'mode_sizes'"):
+        load_fit_factors(out)
 
 
 def test_results_csv_layout(tmp_path):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fusionshrink.postprocess import (
+    align_modes,
     kmeans_rows,
     misclustering_loss,
     rand_index,
@@ -101,6 +102,28 @@ def test_sequential_align_undoes_rotations():
     np.testing.assert_allclose(rots[0], np.eye(2))
     for t in range(3):
         np.testing.assert_allclose(aligned[t], U, atol=1e-10)
+
+
+@pytest.mark.parametrize("sizes", [(5,), (4, 3)])
+def test_align_modes_is_one_alignment_of_the_stacked_rows(sizes):
+    rng = np.random.default_rng(8)
+    paths = [rng.standard_normal((n, 6, 2)) for n in sizes]
+    stacked = np.concatenate([p.transpose(1, 0, 2) for p in paths], axis=1)
+    expected, _ = sequential_align(stacked)
+    aligned = align_modes(paths)
+    assert [a.shape for a in aligned] == [p.shape for p in paths]
+    got = np.concatenate([a.transpose(1, 0, 2) for a in aligned], axis=1)
+    np.testing.assert_array_equal(got, expected)
+    if len(paths) == 2:  # one shared rotation keeps every U_t V_t'
+        np.testing.assert_allclose(
+            np.einsum("itk,jtk->tij", *aligned),
+            np.einsum("itk,jtk->tij", *paths),
+            atol=1e-12,
+        )
+
+
+def test_align_modes_undefined_beyond_two_modes():
+    assert align_modes([np.ones((3, 4, 2))] * 3) is None
 
 
 def test_sequential_align_preserves_gram():
