@@ -132,13 +132,15 @@ def cmd_postprocess(args: argparse.Namespace) -> int:
             raise ValueError(
                 "--align is undefined for fits with more than two latent modes"
             )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_factors(out, "post_m", paths)
-    if args.kmeans is not None:
+    labels = None
+    if args.kmeans is not None:  # before any write, so a bad K leaves no output
         seed = int(entries.get("seed", "0"))
         slices = paths[0].transpose(1, 0, 2)  # (T, n, d)
         labels = [kmeans_rows(x, args.kmeans, seed=seed)[0] for x in slices]
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    write_factors(out, "post_m", paths)
+    if labels is not None:
         np.savetxt(out / "labels.txt", labels, fmt="%d")
     print(f"postprocess: {len(paths)} mode(s) -> {out}")
     return 0

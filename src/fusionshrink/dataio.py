@@ -66,8 +66,12 @@ def _read_keys(path: Path, required: tuple[str, ...]) -> dict[str, str]:
     its stem in the errors for a missing file or a missing required key."""
     if not path.is_file():
         raise FileNotFoundError(f"missing {path.stem}: {path}")
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path.stem} is not UTF-8 text ({exc.reason}): {path}") from exc
     entries: dict[str, str] = {}
-    for line in path.read_text().splitlines():
+    for line in text.splitlines():
         key, _, value = line.partition("=")
         entries[key.strip()] = value.strip()
     for key in required:
@@ -164,14 +168,31 @@ def load_fit_factors(directory: str | Path) -> tuple[list[np.ndarray], dict[str,
     """Read mean_m{k}.txt files back as (n_k, T, d) arrays plus the
     summary entries."""
     directory = Path(directory)
-    entries = _read_keys(directory / "summary.txt", ("mode_sizes",))
-    sizes = [int(s) for s in entries["mode_sizes"].split(",")]
-    factors = []
+    summary = directory / "summary.txt"
+    entries = _read_keys(summary, ("mode_sizes",))
+    listed = f"mode_sizes={entries['mode_sizes']}"
+    try:
+        sizes = [int(s) for s in entries["mode_sizes"].split(",")]
+    except ValueError:
+        sizes = []
+    if not sizes or min(sizes) < 1:
+        raise ValueError(f"{summary}: {listed} is not a list of positive integers")
+    factors: list[np.ndarray] = []
     for k, n in enumerate(sizes):
         path = directory / f"mean_m{k}.txt"
         if not path.is_file():
             raise FileNotFoundError(f"missing factor file: {path}")
-        factors.append(_unstack_time_major(np.atleast_2d(np.loadtxt(path)), n))
+        try:
+            flat = np.atleast_2d(np.loadtxt(path))
+        except ValueError as exc:
+            raise ValueError(f"unreadable factor file {path}: {exc}") from exc
+        rows = flat.shape[0]
+        if rows % n or (factors and rows // n != factors[0].shape[1]):
+            raise ValueError(
+                f"{path} holds {rows} rows, not {n} per time step over the "
+                f"time steps of every mode, as {listed} in {summary} needs"
+            )
+        factors.append(_unstack_time_major(flat, n))
     return factors, entries
 
 

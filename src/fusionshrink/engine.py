@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from .chain import all_expected_transition_sq, chain_entropy, smooth_core
 from .likelihoods import (
@@ -49,6 +48,7 @@ from .likelihoods import (
 from .metrics import mann_whitney_auc, rmse
 from .scales import (
     InverseGammaQ,
+    _log_gamma,
     floored_precision,
     transition_precisions,
     update_eta,
@@ -158,14 +158,15 @@ def _rows(q: InverseGammaQ, rows: int | slice) -> InverseGammaQ:
     return InverseGammaQ(q.shape[rows], q.rate[rows])
 
 
-def _ig_term(q: InverseGammaQ, a: float, e_log_b, e_b) -> float:
+def _ig_term(q: InverseGammaQ, e_log_x, a: float, e_log_b, e_b) -> float:
     """E_q[log IG(x; a, b)] + H[q], summed over the factor's entries, for a
-    rate b that may itself be random: E[log b] and E[b] are given."""
+    rate b that may itself be random: E[log b] and E[b] are given, and so
+    is E_q[log x] (q.mean_log, which the caller reads for other terms too)."""
     return float(
         np.sum(
             a * e_log_b
-            - gammaln(a)
-            - (a + 1.0) * q.mean_log
+            - _log_gamma(a)
+            - (a + 1.0) * e_log_x
             - e_b * q.mean_inverse
             + q.entropy
         )
@@ -557,41 +558,53 @@ class CaviEngine:
                 total += 0.5 * (1.0 + np.log(2 * np.pi * float(b.var)))
         else:
             noise = self.aux.noise
+            log_noise = noise.mean_log
             sse = expected_sse(
                 self.obs, [self._moments(k) for k in range(len(self.sizes))]
             )
             total = cfg.alpha * _gauss_term(
-                self.obs.count_observed(), noise.mean_log, noise.mean_inverse, sse
+                self.obs.count_observed(), log_noise, noise.mean_inverse, sse
             )
-            total += _ig_term(noise, cfg.a_sigma, np.log(cfg.b_sigma), cfg.b_sigma)
+            total += _ig_term(
+                noise, log_noise, cfg.a_sigma, np.log(cfg.b_sigma), cfg.b_sigma
+            )
         shared = self.aux.shared_trans
         if cfg.prior == "iglsm":
-            total += _ig_term(shared, cfg.a_trans, np.log(cfg.b_trans), cfg.b_trans)
+            log_shared = shared.mean_log
+            total += _ig_term(
+                shared, log_shared, cfg.a_trans, np.log(cfg.b_trans), cfg.b_trans
+            )
         for st in self.modes:
             e_trans = all_expected_transition_sq(st.mean, st.cov, st.cross)
             e_norm1 = np.sum(st.mean[:, 0] ** 2, axis=-1) + np.trace(
                 st.cov[:, 0], axis1=-2, axis2=-1
             )
             s0 = st.sigma0
-            total += _gauss_term(d, s0.mean_log, s0.mean_inverse, e_norm1)
-            total += _ig_term(s0, cfg.a_sigma0, np.log(cfg.b_sigma0), cfg.b_sigma0)
+            log_s0 = s0.mean_log
+            total += _gauss_term(d, log_s0, s0.mean_inverse, e_norm1)
+            total += _ig_term(
+                s0, log_s0, cfg.a_sigma0, np.log(cfg.b_sigma0), cfg.b_sigma0
+            )
             if cfg.prior == "iglsm":
-                total += _gauss_term(d, shared.mean_log, shared.mean_inverse, e_trans)
+                total += _gauss_term(d, log_shared, shared.mean_inverse, e_trans)
             else:
                 lam, eta, tau2, aux = st.lambda2, st.eta, st.tau2, st.tau_aux
+                log_lam, log_eta, log_tau2, log_aux = (
+                    q.mean_log for q in (lam, eta, tau2, aux)
+                )
                 # Transitions under the scale product tau^2 lambda^2, then
                 # lambda^2 | eta ~ IG(1/2, 1/eta), eta ~ IG(1/2, 1) and the
                 # same pair for tau^2 and its auxiliary.
                 total += _gauss_term(
                     d,
-                    tau2.mean_log[:, None] + lam.mean_log,
+                    log_tau2[:, None] + log_lam,
                     tau2.mean_inverse[:, None] * lam.mean_inverse,
                     e_trans,
                 )
-                total += _ig_term(lam, 0.5, -eta.mean_log, eta.mean_inverse)
-                total += _ig_term(eta, 0.5, 0.0, 1.0)
-                total += _ig_term(tau2, 0.5, -aux.mean_log, aux.mean_inverse)
-                total += _ig_term(aux, 0.5, 0.0, 1.0)
+                total += _ig_term(lam, log_lam, 0.5, -log_eta, eta.mean_inverse)
+                total += _ig_term(eta, log_eta, 0.5, 0.0, 1.0)
+                total += _ig_term(tau2, log_tau2, 0.5, -log_aux, aux.mean_inverse)
+                total += _ig_term(aux, log_aux, 0.5, 0.0, 1.0)
             total += float(np.sum(chain_entropy(st.cov, st.cross)))
         return float(total)
 

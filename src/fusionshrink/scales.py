@@ -13,14 +13,82 @@ of them stay inverse-gamma, so the whole hierarchy is two arrays (shape,
 rate) per factor.  Functions accept scalar or array-valued parameters and
 broadcast elementwise, which is how the engine vectorises across subjects
 and transitions.
+
+The digamma and log-gamma functions that E[log x], the entropy and the
+ELBO's prior terms need are evaluated here, without scipy: the recurrences
+psi(x) = psi(x + 10) - sum_j 1/(x + j) and
+log Gamma(x) = log Gamma(x + 10) - sum_j log(x + j), j = 0..9, lift x > 0
+to z = x + 10, where seven terms of the asymptotic series are summed
+(Abramowitz & Stegun 6.3.18 for psi, Stirling's series 6.1.40 for
+log Gamma).  Both run on Python floats, once per distinct shape value.
+Against scipy.special over x in [1e-4, 1e7] they agree to
+3e-15 * max(1, |f(x)|); the tests hold them to 1e-14.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 PRECISION_FLOOR = 1e-12
+
+_SHIFT = 10
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+# B_2k / 2k and B_2k / (2k (2k - 1)) for k = 1..7, B the Bernoulli numbers.
+_DIGAMMA_SERIES = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760, 1 / 12)
+_LOG_GAMMA_SERIES = (
+    1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156
+)
+
+
+def _horner(coef: tuple[float, ...], w: float) -> float:
+    """sum_k coef[k] w^k."""
+    total = 0.0
+    for c in reversed(coef):
+        total = total * w + c
+    return total
+
+
+def _digamma(x: float) -> float:
+    z = x + _SHIFT
+    w = 1.0 / (z * z)
+    return (
+        math.log(z)
+        - 0.5 / z
+        - w * _horner(_DIGAMMA_SERIES, w)
+        - sum(1.0 / (x + j) for j in range(_SHIFT))
+    )
+
+
+def _log_gamma(x: float) -> float:
+    # (z - 1/2) log z - sum_j log(x + j), regrouped so that no two large
+    # terms cancel: (x + 1/2) log z - log x - log prod_{j>0} (x + j) / z.
+    z = x + _SHIFT
+    ratio = math.prod((x + j) / z for j in range(1, _SHIFT))
+    return (
+        (x + 0.5) * math.log(z)
+        - z
+        + _HALF_LOG_2PI
+        + _horner(_LOG_GAMMA_SERIES, 1.0 / (z * z)) / z
+        - math.log(x)
+        - math.log(ratio)
+    )
+
+
+def _entropy_of_shape(a: float) -> float:
+    """The shape's part of the inverse-gamma entropy."""
+    return _log_gamma(a) - (1.0 + a) * _digamma(a)
+
+
+def _on_distinct(f, x):
+    """The scalar function f at each distinct value of x, spread back to
+    x's shape (a scalar gives a scalar).  The updates fill a factor's
+    shapes with one constant, so this is one evaluation per factor: the
+    series on Python floats costs less than numpy's per-call overhead."""
+    x = np.asarray(x, dtype=float)
+    u = np.unique(x)
+    return np.array([f(v) for v in u.tolist()])[np.searchsorted(u, x)]
 
 
 @dataclass
@@ -44,16 +112,13 @@ class InverseGammaQ:
     @property
     def mean_log(self) -> float | np.ndarray:
         """E[log x] = log(rate) - digamma(shape)."""
-        from scipy.special import digamma
-
-        return np.log(self.rate) - digamma(self.shape)
+        return np.log(self.rate) - _on_distinct(_digamma, self.shape)
 
     @property
     def entropy(self) -> float | np.ndarray:
-        from scipy.special import digamma, gammaln
-
-        a, b = self.shape, self.rate
-        return a + np.log(b) + gammaln(a) - (1.0 + a) * digamma(a)
+        """shape + log(rate) + log Gamma(shape) - (1 + shape) digamma(shape)."""
+        shape_part = _on_distinct(_entropy_of_shape, self.shape)
+        return self.shape + np.log(self.rate) + shape_part
 
 
 def update_eta(lambda2_q: InverseGammaQ) -> InverseGammaQ:

@@ -247,6 +247,44 @@ def test_postprocess_summary_without_mode_sizes_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: summary missing 'mode_sizes'")
 
 
+def test_postprocess_bad_kmeans_writes_nothing(tmp_path, capsys):
+    # Before, post_m0.txt and post_m1.txt were written before K was checked.
+    data = simulate_small(tmp_path)
+    fit_dir = tmp_path / "fit"
+    assert run_cli(
+        "fit", "--data", str(data), "--max-cycles", "1", "--out", str(fit_dir)
+    ) == 0
+    capsys.readouterr()
+    out = tmp_path / "post"
+    for k in ("99", "0"):
+        rc = run_cli("postprocess", "--fit", str(fit_dir), "--kmeans", k, "--out", str(out))
+        assert rc == 2
+        assert capsys.readouterr().err == "error: need 1 <= k <= number of rows\n"
+        assert not list(out.glob("post_m*.txt")) and not (out / "labels.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "summary, message",
+    [
+        (b"format_version=1\nmode_sizes=5,4\nT=3\n", "mean_m0.txt holds 12 rows"),
+        (b"\xff\xfe\nmode_sizes=4,4\n", "summary is not UTF-8 text"),
+    ],
+)
+def test_postprocess_bad_summary_names_file(tmp_path, capsys, summary, message):
+    data = simulate_small(tmp_path)
+    fit_dir = tmp_path / "fit"
+    assert run_cli(
+        "fit", "--data", str(data), "--max-cycles", "1", "--out", str(fit_dir)
+    ) == 0
+    (fit_dir / "summary.txt").write_bytes(summary)
+    capsys.readouterr()
+    rc = run_cli("postprocess", "--fit", str(fit_dir), "--out", str(tmp_path / "o"))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert str(fit_dir) in err
+
+
 @pytest.mark.skipif(shutil.which("fusionshrink") is None, reason="script not installed")
 def test_console_script_exit_code(tmp_path):
     proc = subprocess.run(

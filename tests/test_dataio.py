@@ -185,6 +185,41 @@ def test_load_fit_factors_summary_without_mode_sizes(tmp_path, summary):
         load_fit_factors(out)
 
 
+@pytest.mark.parametrize(
+    "sizes, named",
+    [("5,4", "mean_m0.txt"), ("2,4", "mean_m1.txt"), ("4,2", "mean_m1.txt"),
+     ("0,4", "summary.txt"), ("4,x", "summary.txt")],
+)
+def test_load_fit_factors_mode_sizes_mismatch_names_file(tmp_path, sizes, named):
+    # n=4, p=3, T=4: mean_m0 and mean_m1 hold 16 and 12 rows.  Before,
+    # "5,4" gave numpy's bare "cannot reshape array of size ..." and "2,4"
+    # or "4,2" read paths of different lengths without an error.
+    data = gen_case1(4, 3, 4, seed=7)
+    out = save_fit(tmp_path / "fit", fit(data.observations, ModelConfig(d=2, max_cycles=1)))
+    summary = out / "summary.txt"
+    text = summary.read_text().replace("mode_sizes=4,3", f"mode_sizes={sizes}")
+    summary.write_text(text)
+    with pytest.raises(ValueError, match=f"mode_sizes={sizes}") as err:
+        load_fit_factors(out)
+    assert str(err.value).startswith(str(out / named))
+
+
+def test_load_fit_factors_non_utf8_summary_names_path(tmp_path):
+    data = gen_case1(4, 3, 4, seed=7)
+    out = save_fit(tmp_path / "fit", fit(data.observations, ModelConfig(d=2, max_cycles=1)))
+    (out / "summary.txt").write_bytes(b"\xffmode_sizes=4,3\n")
+    with pytest.raises(ValueError, match="summary is not UTF-8 text .*summary.txt"):
+        load_fit_factors(out)
+
+
+def test_load_fit_factors_unreadable_factor_names_file(tmp_path):
+    data = gen_case1(4, 3, 4, seed=7)
+    out = save_fit(tmp_path / "fit", fit(data.observations, ModelConfig(d=2, max_cycles=1)))
+    (out / "mean_m1.txt").write_text("1 2\nx y\n")
+    with pytest.raises(ValueError, match="unreadable factor file .*mean_m1.txt"):
+        load_fit_factors(out)
+
+
 def test_results_csv_layout(tmp_path):
     rows = [
         {"scenario": "case1", "method": "ffs", "replicate": 0, "seed": 10,

@@ -1,5 +1,5 @@
 """The package's import surface: every exported name resolves, and importing
-stays light (no scipy module it uses only lazily)."""
+stays light (no scipy module it uses only lazily), as does fitting."""
 import os
 import subprocess
 import sys
@@ -25,6 +25,54 @@ def test_import_loads_neither_scipy_stats_nor_optimize():
         text=True,
         check=True,
         timeout=120,
+    )
+    assert out.stdout.strip() == "[]"
+
+
+FIT_PATH_WITHOUT_SCIPY = """
+import math, sys, tempfile
+import fusionshrink
+from fusionshrink import simulate
+from fusionshrink.dataio import save_fit
+from fusionshrink.engine import CaviEngine, ModelConfig, predict_stack
+from fusionshrink.postprocess import align_modes, kmeans_rows, row_normalize
+
+cases = [
+    (simulate.gen_case1(5, 4, 4, seed=1), {}),
+    (simulate.gen_case3_tensor((3, 3, 3), 3, seed=2), {"prior": "iglsm"}),
+    (simulate.gen_cluster_case(8, 4, seed=3), {"intercept": True}),
+]
+with tempfile.TemporaryDirectory() as tmp:
+    for j, (data, extra) in enumerate(cases):
+        eng = CaviEngine(data.observations, ModelConfig(d=2, max_cycles=2, **extra))
+        result = eng.run()
+        assert math.isfinite(eng.elbo())
+        assert predict_stack(result).shape == data.observations.values.shape
+        save_fit(f"{tmp}/fit{j}", result)
+        paths = align_modes([row_normalize(m.mean) for m in result.modes])
+        if paths is not None:
+            kmeans_rows(paths[0][:, -1], 2)
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_fit_path_loads_no_scipy():
+    # Fits of all three kinds, with both priors and the network intercept,
+    # then the ELBO, the prediction, the saved artifacts and the alignment
+    # and k-means of postprocess: none of them loads scipy.  Before,
+    # engine.py imported scipy.special when the package was imported.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fusionshrink.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", FIT_PATH_WITHOUT_SCIPY],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=300,
     )
     assert out.stdout.strip() == "[]"
 

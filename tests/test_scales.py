@@ -11,11 +11,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.special import digamma, gammaln
 from scipy.stats import invgamma
 
+from fusionshrink import engine, scales, simulate
 from fusionshrink.scales import (
     PRECISION_FLOOR,
     InverseGammaQ,
+    _digamma,
+    _log_gamma,
+    _on_distinct,
     floored_precision,
     transition_precisions,
     update_eta,
@@ -63,6 +68,63 @@ def test_mean_log_and_entropy_against_scipy():
         num_log = quad(lambda x: np.log(x) * dist.pdf(x), 0, np.inf, limit=300)[0]
         assert q.mean_log == pytest.approx(num_log, abs=1e-7)
         assert q.entropy == pytest.approx(dist.entropy(), abs=1e-10)
+
+
+# x > 0 over eleven decades, the half-integers (the shapes (d + 1)/2 and
+# (d (T - 1) + 1)/2 take) and the positive root of psi.
+SPECIAL_GRID = np.concatenate(
+    [np.geomspace(1e-4, 1e7, 20000), np.arange(0.5, 100.0, 1.0), [1.4616321449683623]]
+)
+
+
+@pytest.mark.parametrize("ours, reference", [(_digamma, digamma), (_log_gamma, gammaln)])
+def test_special_functions_against_scipy(ours, reference):
+    want = reference(SPECIAL_GRID)
+    got = _on_distinct(ours, SPECIAL_GRID)
+    err = np.abs(got - want) / np.maximum(1.0, np.abs(want))
+    assert err.max() <= 1e-14, (SPECIAL_GRID[err.argmax()], err.max())
+    # Each entry is found by its value, whatever the order.
+    perm = np.random.default_rng(0).permutation(SPECIAL_GRID.size)
+    np.testing.assert_array_equal(_on_distinct(ours, SPECIAL_GRID[perm]), got[perm])
+
+
+@pytest.mark.parametrize("f", [_digamma, _log_gamma])
+def test_special_functions_keep_shapes(f):
+    for x in (2.5, np.float64(2.5), np.asarray(2.5)):
+        out = _on_distinct(f, x)
+        assert np.ndim(out) == 0 and out == f(2.5)
+    for shape in ((0,), (3,), (2, 3), (2, 1, 4)):
+        x = np.arange(1, 1 + int(np.prod(shape)), dtype=float).reshape(shape) / 3
+        out = _on_distinct(f, x)
+        assert out.shape == shape
+        np.testing.assert_array_equal(out.ravel(), [f(v) for v in x.ravel().tolist()])
+    np.testing.assert_array_equal(_on_distinct(f, np.full((4, 99), 1.5)), f(1.5))
+
+
+ELBO_CASES = {
+    "gaussian-matrix": lambda: simulate.gen_case1(5, 4, 6, seed=3).observations,
+    "gaussian-tensor": lambda: simulate.gen_case3_tensor((3, 4, 3), 5, seed=4).observations,
+    "bernoulli-network": lambda: simulate.gen_cluster_case(8, 5, seed=5).observations,
+}
+
+
+@pytest.mark.parametrize("prior", ["ffs", "iglsm"])
+@pytest.mark.parametrize("kind", sorted(ELBO_CASES))
+def test_elbo_with_scipy_special_functions(kind, prior, monkeypatch):
+    # Once a scale factor has been updated, the digamma of its shape
+    # cancels from the ELBO, so the unswept engine is checked as well.
+    extra = {"intercept": True} if kind == "bernoulli-network" else {}
+    engines = [
+        engine.CaviEngine(ELBO_CASES[kind](), engine.ModelConfig(d=2, prior=prior, **extra))
+        for _ in range(2)
+    ]
+    for _ in range(2):
+        engines[1].sweep()
+    ours = [eng.elbo() for eng in engines]
+    monkeypatch.setattr(scales, "_digamma", digamma)
+    monkeypatch.setattr(scales, "_log_gamma", gammaln)
+    monkeypatch.setattr(engine, "_log_gamma", gammaln)
+    assert ours == pytest.approx([eng.elbo() for eng in engines], rel=1e-13, abs=0.0)
 
 
 def test_invalid_parameters_rejected():
