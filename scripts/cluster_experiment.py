@@ -35,12 +35,7 @@ def main() -> None:
         )
         med = {}
         for method in ("ffs", "iglsm"):
-            vals = [
-                r["value"]
-                for r in rows
-                if r["method"] == method and r["replicate"] != "median"
-            ]
-            med[method] = median(vals)
+            med[method] = median(r["value"] for r in rows if r["method"] == method)
         print(f"{p:>8.3f} {med['ffs']:>8.4f} {med['iglsm']:>8.4f}")
 
 

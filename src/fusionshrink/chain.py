@@ -108,14 +108,15 @@ def _chol_inverse(mats: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(_axes_first(inv, 2))
 
 
-def _diag_shifts(rho0: float, rho: list[float]) -> list[float]:
-    """Prior contribution to each diagonal block (rho0 at t = 0, plus
-    rho_{t-1} and rho_t where they exist), summed in the order of
-    `smooth_core`."""
-    if not rho:
-        return [rho0]
-    middle = [a + b for a, b in zip(rho[:-1], rho[1:])]
-    return [rho0 + rho[0], *middle, rho[-1]]
+def _prior_diag(rho0: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Prior part of every diagonal block of the chains' joint precision,
+    as the scale of I_d: rho0 at t = 0, plus rho_{t-1} and rho_t where
+    they exist.  rho0 (...,) and rho (..., T-1) -> (..., T)."""
+    diag = np.empty(rho.shape[:-1] + (rho.shape[-1] + 1,))
+    diag[..., 0] = rho0
+    diag[..., 1:] = rho
+    diag[..., :-1] += rho
+    return diag
 
 
 def _reversed(flat: list[float]) -> np.ndarray:
@@ -124,13 +125,13 @@ def _reversed(flat: list[float]) -> np.ndarray:
 
 
 def _smooth_single_d1(
-    rho0: float, rho: list[float], precision: np.ndarray, shift: np.ndarray
+    diag: list[float], rho: list[float], precision: np.ndarray, shift: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`smooth_core` for one chain with d = 1, on Python floats."""
+    """`smooth_core` for one chain with d = 1, on Python floats, given the
+    prior diagonal `_prior_diag` and the transition precisions."""
     T = precision.shape[0]
     sites = precision.reshape(T).tolist()
     shifts = shift.reshape(T).tolist()
-    diag = _diag_shifts(rho0, rho)
     invs = []
     bhats = []
     inv = bhat = 0.0
@@ -170,9 +171,10 @@ def _smooth_single_d1(
 
 
 def _smooth_single_d2(
-    rho0: float, rho: list[float], precision: np.ndarray, shift: np.ndarray
+    diag: list[float], rho: list[float], precision: np.ndarray, shift: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`smooth_core` for one chain with d = 2, on Python floats.
+    """`smooth_core` for one chain with d = 2, on Python floats, given the
+    prior diagonal `_prior_diag` and the transition precisions.
 
     Every block is kept as its entries; the inverse is the closed form of
     `_chol_inverse` with the same checks, and covariances are symmetrised
@@ -181,7 +183,6 @@ def _smooth_single_d2(
     T = precision.shape[0]
     sites = precision.reshape(T, 4).tolist()
     shifts = shift.tolist()
-    diag = _diag_shifts(rho0, rho)
     invs = []
     bhats = []
     i00 = i01 = i11 = b0 = b1 = 0.0
@@ -385,29 +386,21 @@ def smooth_core(
     precision = np.asarray(precision, dtype=float)
     shift = np.asarray(shift, dtype=float)
     T, d = precision.shape[-3], precision.shape[-1]
-    if precision.ndim == 3 and d <= 2:
-        rho = np.asarray(rho, dtype=float)
-        if rho.shape != (max(T - 1, 0),):
-            rho = np.broadcast_to(rho, (max(T - 1, 0),))
-        single = _smooth_single_d1 if d == 1 else _smooth_single_d2
-        return single(float(rho0), rho.tolist(), precision, shift)
     batch = precision.shape[:-3]
-    rho0 = np.broadcast_to(np.asarray(rho0, dtype=float), batch)
-    rho = np.broadcast_to(np.asarray(rho, dtype=float), batch + (max(T - 1, 0),))
+    rho = np.asarray(rho, dtype=float)
+    if rho.shape != batch + (max(T - 1, 0),):  # broadcast_to is slow for one chain
+        rho = np.broadcast_to(rho, batch + (max(T - 1, 0),))
+    diag = _prior_diag(rho0, rho)
+    if not batch and d <= 2:
+        single = _smooth_single_d1 if d == 1 else _smooth_single_d2
+        return single(diag.tolist(), rho.tolist(), precision, shift)
 
     # Blocks of the joint precision: site + prior couplings on the
     # diagonal, -rho_t I between neighbours (C holds rho_t I).
-    diag_scale = np.zeros(batch + (T,))
-    diag_scale[..., 0] += rho0
-    if T > 1:
-        diag_scale[..., 0] += rho[..., 0]
-        diag_scale[..., -1] += rho[..., -1]
-        if T > 2:
-            diag_scale[..., 1:-1] += rho[..., :-1] + rho[..., 1:]
     A = _axes_first(precision, 2).copy()
     C = np.zeros((d, d) + rho.shape)
     for i in range(d):
-        A[i, i] += diag_scale
+        A[i, i] += diag
         C[i, i] = rho
     mean, cov, cross = _reduce(A, C, _axes_first(shift, 1))
     return (

@@ -80,38 +80,75 @@ def _read_keys(path: Path, required: tuple[str, ...]) -> dict[str, str]:
     return entries
 
 
-def _parse_manifest(path: Path) -> dict[str, str]:
+def _manifest_ints(
+    path: Path, entries: dict[str, str], key: str, fewest: int, most: int | None, want: str
+) -> tuple[int, ...]:
+    """The comma-separated positive integers of a manifest key, between
+    `fewest` and `most` (None: no limit) of them; `want` says so in the
+    error, which names the manifest and the key."""
+    text = entries[key]
+    try:
+        values = tuple(int(s) for s in text.split(","))
+    except ValueError:
+        values = ()
+    if not fewest <= len(values) <= (most or len(values)) or min(values) < 1:
+        raise ValueError(f"{path}: {key}={text} is not {want}")
+    return values
+
+
+def _parse_manifest(path: Path) -> tuple[str, tuple[int, ...], int, int, bool]:
+    """The kind, dims, T, seed and has_mask of a dataset manifest, checked."""
     entries = _read_keys(path, ("format_version", "kind", "dims", "T"))
     if entries["format_version"] != "1":
         raise ValueError(f"unsupported format_version={entries['format_version']}")
-    if entries["kind"] not in KINDS:
-        raise ValueError(f"unknown kind '{entries['kind']}' in {path}")
-    return entries
+    kind = entries["kind"]
+    if kind not in KINDS:
+        raise ValueError(f"unknown kind '{kind}' in {path}")
+    if kind == "gaussian-tensor":
+        dims = _manifest_ints(
+            path, entries, "dims", 3, None, f"three or more positive integers for {kind}"
+        )
+    else:
+        dims = _manifest_ints(path, entries, "dims", 2, 2, f"two positive integers for {kind}")
+    (T,) = _manifest_ints(path, entries, "T", 1, 1, "an integer >= 1")
+    try:
+        seed = int(entries.get("seed", "0"))
+    except ValueError:
+        raise ValueError(f"{path}: seed={entries['seed']} is not an integer") from None
+    return kind, dims, T, seed, entries.get("has_mask", "0") == "1"
+
+
+def _read_slice(path: Path, what: str, shape: tuple[int, int]) -> np.ndarray:
+    """One slice file (`what` is "slice" or "mask") as a `shape` matrix;
+    the errors name the file and the shape."""
+    if not path.is_file():
+        raise FileNotFoundError(f"missing {what}: {path}")
+    try:
+        flat = np.loadtxt(path)
+    except ValueError as exc:
+        raise ValueError(f"unreadable {what} file {path}: {exc}") from exc
+    if flat.size != shape[0] * shape[1]:
+        raise ValueError(
+            f"{path} holds {flat.size} value(s), not the {shape[0]} x {shape[1]} "
+            f"of a {what} that the manifest's dims give"
+        )
+    return flat.reshape(shape)
 
 
 def load_dataset(directory: str | Path) -> tuple[ObservationSet, int]:
     """Read a dataset directory; returns (observations, seed)."""
     directory = Path(directory)
-    entries = _parse_manifest(directory / "manifest.txt")
-    dims = tuple(int(s) for s in entries["dims"].split(","))
-    T = int(entries["T"])
-    seed = int(entries.get("seed", "0"))
-    has_mask = entries.get("has_mask", "0") == "1"
-    values = np.empty((T, dims[0], int(np.prod(dims[1:]))))
+    kind, dims, T, seed, has_mask = _parse_manifest(directory / "manifest.txt")
+    shape = (dims[0], int(np.prod(dims[1:])))
+    values = np.empty((T, *shape))
     mask = np.empty_like(values) if has_mask else None
     for t in range(T):
-        slice_path = directory / f"t{t:04d}.txt"
-        if not slice_path.is_file():
-            raise FileNotFoundError(f"missing slice: {slice_path}")
-        values[t] = np.loadtxt(slice_path).reshape(dims[0], -1)
+        values[t] = _read_slice(directory / f"t{t:04d}.txt", "slice", shape)
         if has_mask:
-            mask_path = directory / f"m{t:04d}.txt"
-            if not mask_path.is_file():
-                raise FileNotFoundError(f"missing mask: {mask_path}")
-            mask[t] = np.loadtxt(mask_path).reshape(dims[0], -1) != 0
+            mask[t] = _read_slice(directory / f"m{t:04d}.txt", "mask", shape) != 0
     if has_mask:
         mask = fold(mask, 0, dims)
-    return ObservationSet(entries["kind"], fold(values, 0, dims), mask), seed
+    return ObservationSet(kind, fold(values, 0, dims), mask), seed
 
 
 def _stack_time_major(mean: np.ndarray) -> np.ndarray:

@@ -38,9 +38,11 @@ from .likelihoods import (
     expected_sse,
     gaussian_noise_update,
     intercept_update,
+    link_probs,
     logistic_quad_coeff,
     logistic_quad_const,
     packed_pair_products,
+    sigmoid,
     tensor_sites,
     unfold,
     xi_update,
@@ -112,10 +114,11 @@ class ModelConfig:
 
 
 @dataclass
-class ModeState:
-    """Variational state of one latent mode, vectorised over subjects."""
+class ModeState(ModeMoments):
+    """Variational state of one latent mode, vectorised over subjects: the
+    moments the sites read (mean (n, T, d) and second = cov + mean mean',
+    kept in step with the chains) and the rest of the state."""
 
-    mean: np.ndarray  # (n, T, d)
     cov: np.ndarray  # (n, T, d, d)
     cross: np.ndarray  # (n, T-1, d, d)
     lambda2: InverseGammaQ  # arrays (n, T-1)
@@ -185,28 +188,22 @@ def _second_from(mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
     return cov + mean[..., :, None] * mean[..., None, :]
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function without overflow: 1/(1 + e^-x) for x >= 0 and
-    e^x/(1 + e^x) below, both from e = exp(-|x|)."""
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
-def _link_probs(fit: FitResult, u: np.ndarray) -> np.ndarray:
-    """Network link probabilities sigmoid(b + u_i' u_j) from positions u
-    (..., n, d), with the structurally absent diagonal zeroed."""
-    b = fit.aux.intercept.mean if fit.aux.intercept is not None else 0.0
-    probs = _sigmoid(b + u @ np.swapaxes(u, -1, -2))
-    diag = np.arange(u.shape[-2])
-    probs[..., diag, diag] = 0.0
-    return probs
+def _initial_sq(mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """E||theta_1||^2 of chains with means (..., T, d) and covariances
+    (..., T, d, d): (...,)."""
+    return np.sum(mean[..., 0, :] ** 2, axis=-1) + np.trace(
+        cov[..., 0, :, :], axis1=-2, axis2=-1
+    )
 
 
 def predict_stack(fit: FitResult) -> np.ndarray:
     """Predicted mean slices at every time, (T, *dims), each kind as one
-    stacked product over time."""
+    stacked product over time; the network's are the link probabilities
+    sigmoid(b + u_i' u_j)."""
     if fit.kind == "bernoulli-network":
-        return _link_probs(fit, np.swapaxes(fit.modes[0].mean, 0, 1))
+        b = fit.aux.intercept.mean if fit.aux.intercept is not None else 0.0
+        u = np.swapaxes(fit.modes[0].mean, 0, 1)
+        return link_probs(b + u @ np.swapaxes(u, -1, -2))
     return cp_stack([st.mean for st in fit.modes])
 
 
@@ -220,9 +217,7 @@ class CaviEngine:
         self.T = obs.horizon
         self.sizes = obs.mode_sizes
         d = config.d
-        if d > min(self.sizes) or (
-            self.kind != "bernoulli-network" and d > min(obs.dims)
-        ):
+        if d > min(self.sizes):
             raise ValueError("d exceeds the smallest mode size")
         if config.intercept and self.kind != "bernoulli-network":
             raise ValueError("the intercept is only defined for the network kind")
@@ -239,6 +234,7 @@ class CaviEngine:
             self.modes.append(
                 ModeState(
                     mean=mean,
+                    second=_second_from(mean, cov),
                     cov=cov,
                     cross=cross,
                     lambda2=InverseGammaQ(np.full(nt, 0.5), np.ones(nt)),
@@ -250,7 +246,6 @@ class CaviEngine:
                     ),
                 )
             )
-        self.second = [_second_from(st.mean, st.cov) for st in self.modes]
         self.aux = AuxState()
         if self.kind == "bernoulli-network":
             self._set_xi(np.ones(self.dyads.resid.shape))
@@ -316,9 +311,6 @@ class CaviEngine:
 
     # ----- shared pieces ---------------------------------------------------
 
-    def _moments(self, m: int) -> ModeMoments:
-        return ModeMoments(mean=self.modes[m].mean, second=self.second[m])
-
     def _chain_rhos(
         self, m: int, rows: int | slice = slice(None)
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -342,7 +334,7 @@ class CaviEngine:
         per-dyad weight arrays of bernoulli_site_weights, and time-major
         copies of the second moments (T, n, d*d) and means (T, n, d)."""
         b = self.aux.intercept.mean if self.aux.intercept is not None else 0.0
-        second_tm = np.ascontiguousarray(self.second[0].transpose(1, 0, 2, 3))
+        second_tm = np.ascontiguousarray(self.modes[0].second.transpose(1, 0, 2, 3))
         return (
             *bernoulli_site_weights(self.dyads, self.aux.curv, self.cfg.alpha, b),
             second_tm.reshape(self.T, self.sizes[0], -1),
@@ -362,12 +354,7 @@ class CaviEngine:
                 prec_w, shift_w, self.dyads.cols[rows], second_tm, mean_tm
             )
         P, h = tensor_sites(
-            self.obs.values,
-            [self._moments(k) for k in range(len(self.sizes))],
-            self.aux.noise,
-            self.cfg.alpha,
-            m,
-            self.obs.mask,
+            self.obs.values, self.modes, self.aux.noise, self.cfg.alpha, m, self.obs.mask
         )
         return P[rows], h[rows]
 
@@ -399,10 +386,7 @@ class CaviEngine:
             ):
                 q.shape[rows] = new.shape
                 q.rate[rows] = new.rate
-        e_norm1 = np.sum(mean[..., 0, :] ** 2, axis=-1) + np.trace(
-            cov[..., 0, :, :], axis1=-2, axis2=-1
-        )
-        sig_new = update_sigma0(e_norm1, cfg.d, cfg.a_sigma0, cfg.b_sigma0)
+        sig_new = update_sigma0(_initial_sq(mean, cov), cfg.d, cfg.a_sigma0, cfg.b_sigma0)
         st.sigma0.shape[rows] = sig_new.shape
         st.sigma0.rate[rows] = sig_new.rate
 
@@ -437,9 +421,9 @@ class CaviEngine:
                     rho0, rho = self._chain_rhos(m, rows)
                 mean, cov, cross = smooth_core(rho0, rho, P, h)
                 st.mean[rows], st.cov[rows], st.cross[rows] = mean, cov, cross
-                self.second[m][rows] = _second_from(mean, cov)
+                st.second[rows] = _second_from(mean, cov)
             if network:  # the later subjects' sites read these moments
-                operands[2][:, rows] = self.second[m][rows].reshape(self.T, -1)
+                operands[2][:, rows] = st.second[rows].reshape(self.T, -1)
                 operands[3][:, rows] = mean
         self._update_scales(m, slice(None))
 
@@ -450,8 +434,7 @@ class CaviEngine:
     def refresh_aux(self) -> None:
         cfg = self.cfg
         if self.kind == "bernoulli-network":
-            mom = self._moments(0)
-            xi, inner, pair_sq = xi_update(mom, self.dyads, self.aux.intercept)
+            xi, inner, pair_sq = xi_update(self.modes[0], self.dyads, self.aux.intercept)
             self._set_xi(xi)
             self._keep_pairs(inner, pair_sq)
             if cfg.intercept:
@@ -460,11 +443,7 @@ class CaviEngine:
                 )
         else:
             self.aux.noise = gaussian_noise_update(
-                self.obs,
-                [self._moments(k) for k in range(len(self.sizes))],
-                cfg.alpha,
-                cfg.a_sigma,
-                cfg.b_sigma,
+                self.obs, self.modes, cfg.alpha, cfg.a_sigma, cfg.b_sigma
             )
         if cfg.prior == "iglsm":
             total = 0.0
@@ -496,7 +475,7 @@ class CaviEngine:
         """Packed inner = E[u_i]'E[u_j] and pair_sq = tr(E[u_i u_i'] E[u_j u_j'])
         of the current network moments: those of the last xi refresh while
         the moments equal the ones it read, else formed anew."""
-        mom = self._moments(0)
+        mom = self.modes[0]
         if self._pairs is not None:
             mean, second, inner, pair_sq = self._pairs
             if np.array_equal(mean, mom.mean) and np.array_equal(second, mom.second):
@@ -506,7 +485,7 @@ class CaviEngine:
         return inner, pair_sq
 
     def _keep_pairs(self, inner: np.ndarray, pair_sq: np.ndarray) -> None:
-        mom = self._moments(0)
+        mom = self.modes[0]
         self._pairs = (mom.mean.copy(), mom.second.copy(), inner, pair_sq)
 
     def metric(self) -> float:
@@ -523,7 +502,7 @@ class CaviEngine:
         b = self.aux.intercept.mean if self.aux.intercept is not None else 0.0
         logits = (b + self._pair_stats()[0]).ravel()
         return mann_whitney_auc(
-            _sigmoid(logits[self._edges]), _sigmoid(logits[self._non_edges])
+            sigmoid(logits[self._edges]), sigmoid(logits[self._non_edges])
         )
 
     def elbo(self) -> float:
@@ -559,9 +538,7 @@ class CaviEngine:
         else:
             noise = self.aux.noise
             log_noise = noise.mean_log
-            sse = expected_sse(
-                self.obs, [self._moments(k) for k in range(len(self.sizes))]
-            )
+            sse = expected_sse(self.obs, self.modes)
             total = cfg.alpha * _gauss_term(
                 self.obs.count_observed(), log_noise, noise.mean_inverse, sse
             )
@@ -576,12 +553,11 @@ class CaviEngine:
             )
         for st in self.modes:
             e_trans = all_expected_transition_sq(st.mean, st.cov, st.cross)
-            e_norm1 = np.sum(st.mean[:, 0] ** 2, axis=-1) + np.trace(
-                st.cov[:, 0], axis1=-2, axis2=-1
-            )
             s0 = st.sigma0
             log_s0 = s0.mean_log
-            total += _gauss_term(d, log_s0, s0.mean_inverse, e_norm1)
+            total += _gauss_term(
+                d, log_s0, s0.mean_inverse, _initial_sq(st.mean, st.cov)
+            )
             total += _ig_term(
                 s0, log_s0, cfg.a_sigma0, np.log(cfg.b_sigma0), cfg.b_sigma0
             )

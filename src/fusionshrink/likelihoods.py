@@ -21,7 +21,9 @@ xi, so its sites are exact for the bounded likelihood.  Every per-dyad
 quantity of the network is held once, packed over the upper triangle
 (NetworkDyads): the data, the mask, xi, the bound's curvature A(xi)
 (logistic_quad_coeff, computed once per refresh of xi), the pair products
-and the site weights.
+and the site weights.  The logistic link of the network lives here too:
+`sigmoid`, and `link_probs` for whole slices; the engine's predictions and
+AUC and the network simulators all call it.
 """
 from __future__ import annotations
 
@@ -75,6 +77,10 @@ class ObservationSet:
             raise ValueError(f"{self.kind} expects (T, n, p) values")
         if self.kind == "gaussian-tensor" and self.values.ndim < 4:
             raise ValueError("gaussian-tensor expects (T, n1, ..., nM) with M >= 3")
+        if 0 in self.values.shape:
+            raise ValueError(
+                f"values must have no empty axis, got shape {self.values.shape}"
+            )
         bad = np.argwhere(~np.isfinite(self.values))
         if bad.size:
             first = tuple(int(i) for i in bad[0])
@@ -140,6 +146,22 @@ class ModeMoments:
 
     mean: np.ndarray
     second: np.ndarray
+
+
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function without overflow: 1/(1 + e^-x) for x >= 0 and
+    e^x/(1 + e^x) below, both from e = exp(-|x|)."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def link_probs(logits: np.ndarray) -> np.ndarray:
+    """Edge probabilities sigmoid(logits) of (..., n, n) network logits,
+    with the structurally absent diagonal zeroed."""
+    probs = sigmoid(logits)
+    diag = np.arange(probs.shape[-1])
+    probs[..., diag, diag] = 0.0
+    return probs
 
 
 def logistic_quad_coeff(xi: np.ndarray | float) -> np.ndarray | float:

@@ -13,8 +13,7 @@ from itertools import product
 
 import numpy as np
 
-from .engine import _sigmoid
-from .likelihoods import ObservationSet, cp_stack
+from .likelihoods import ObservationSet, cp_stack, link_probs
 
 
 @dataclass
@@ -108,11 +107,7 @@ def _sample_network(
 
 def _network_probs(U: np.ndarray, intercept: float = 0.0) -> np.ndarray:
     """(n, T, d) factors -> (T, n, n) probabilities with zero diagonal."""
-    logits = intercept + np.einsum("itd,jtd->tij", U, U)
-    probs = _sigmoid(logits)
-    n = probs.shape[1]
-    probs[:, np.arange(n), np.arange(n)] = 0.0
-    return probs
+    return link_probs(intercept + np.einsum("itd,jtd->tij", U, U))
 
 
 def gen_case2_network(
@@ -215,9 +210,7 @@ def gen_two_movers(
     movers = np.zeros(n, dtype=bool)
     movers[:2] = True
     labels, U = _corner_walk(rng, n, T, 1.0 - transit_prob, _CORNERS_1, movers)
-    logits = 2.0 * np.einsum("itd,jtd->tij", U, U)
-    probs = _sigmoid(logits)
-    probs[:, np.arange(n), np.arange(n)] = 0.0
+    probs = link_probs(2.0 * np.einsum("itd,jtd->tij", U, U))
     Y = _sample_network(rng, probs)
     obs = ObservationSet(kind="bernoulli-network", values=Y)
     return SyntheticDataset(obs, [U], probs, seed, truth_labels=labels)

@@ -1,4 +1,6 @@
 """Chain smoother against hand-derived values and the dense oracle."""
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from fusionshrink.chain import (
     DegeneratePosteriorError,
     _chol_inverse,
-    _diag_shifts,
+    _prior_diag,
     _sym,
     all_expected_transition_sq,
     smooth_core,
@@ -420,6 +422,45 @@ def test_smooth_core_leaves_inputs_and_returns_contiguous(batch, d, T):
                 assert not np.shares_memory(out, x)
 
 
+# ----- the prior diagonal against the two formulas it replaced ----------------
+
+
+def diag_shifts_reference(rho0, rho):
+    """The list the single-chain kernels read before `_prior_diag`."""
+    if not rho:
+        return [rho0]
+    middle = [a + b for a, b in zip(rho[:-1], rho[1:])]
+    return [rho0 + rho[0], *middle, rho[-1]]
+
+
+def diag_scale_reference(rho0, rho):
+    """The batched path's diagonal before `_prior_diag`."""
+    T = rho.shape[-1] + 1
+    diag_scale = np.zeros(rho.shape[:-1] + (T,))
+    diag_scale[..., 0] += rho0
+    if T > 1:
+        diag_scale[..., 0] += rho[..., 0]
+        diag_scale[..., -1] += rho[..., -1]
+        if T > 2:
+            diag_scale[..., 1:-1] += rho[..., :-1] + rho[..., 1:]
+    return diag_scale
+
+
+@pytest.mark.parametrize("T", [1, 2, 3, 100])
+def test_prior_diag_equals_former_formulas_bit_for_bit(T):
+    rng = np.random.default_rng(70 + T)
+    for batch, first in product(((), (3,), (2, 3)), (0.0, 0.7)):
+        rho0 = np.array(10.0 ** rng.uniform(-12.0, 9.0, batch))
+        rho0.flat[0] = first
+        rho = 10.0 ** rng.uniform(-12.0, 9.0, batch + (T - 1,))
+        got = _prior_diag(rho0, rho)
+        assert got.shape == batch + (T,)
+        assert got.tobytes() == diag_scale_reference(rho0, rho).tobytes()
+        if not batch:
+            single = diag_shifts_reference(float(rho0), rho.tolist())
+            assert np.array(got.tolist()).tobytes() == np.array(single).tobytes()
+
+
 # ----- single-chain kernels against their per-step tuple form ------------------
 
 
@@ -429,7 +470,7 @@ def tuple_smooth_d1(rho0, rho, precision, shift):
     T = precision.shape[0]
     sites = precision.reshape(T).tolist()
     shifts = shift.reshape(T).tolist()
-    diag = _diag_shifts(rho0, rho)
+    diag = _prior_diag(rho0, np.array(rho)).tolist()
     invs, bhats = [], []
     inv = bhat = 0.0
     for t in range(T):
@@ -469,7 +510,7 @@ def tuple_smooth_d2(rho0, rho, precision, shift):
     T = precision.shape[0]
     sites = precision.reshape(T, 4).tolist()
     shifts = shift.tolist()
-    diag = _diag_shifts(rho0, rho)
+    diag = _prior_diag(rho0, np.array(rho)).tolist()
     invs, bhats = [], []
     i00 = i01 = i11 = b0 = b1 = 0.0
     for t in range(T):

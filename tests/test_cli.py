@@ -125,6 +125,18 @@ def test_fit_kind_mismatch_exits_2(tmp_path, capsys):
     assert "manifest" in capsys.readouterr().err
 
 
+def test_fit_bad_manifest_names_file_and_key(tmp_path, capsys):
+    data = simulate_small(tmp_path)
+    manifest = data / "manifest.txt"
+    text = manifest.read_text()
+    manifest.write_text(text.replace("dims=4,", "dims=x,"))
+    rc = run_cli("fit", "--data", str(data), "--out", str(tmp_path / "o"))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {manifest}: dims=x,")
+    assert "is not two positive integers" in err
+
+
 def test_fit_non_finite_data_exits_2(tmp_path, capsys):
     data = simulate_small(tmp_path)
     slice_path = data / "t0001.txt"

@@ -1,4 +1,6 @@
 """Round trips and failure modes of the plain-text artifact formats."""
+import re
+
 import numpy as np
 import pytest
 
@@ -128,6 +130,39 @@ def test_manifest_validation(tmp_path):
     manifest.write_text("format_version=1\nkind=gaussian-matrix\nT=1\n")
     with pytest.raises(ValueError, match="dims"):
         load_dataset(ds)
+
+
+@pytest.mark.parametrize(
+    "name, old, new, message",
+    [
+        ("manifest.txt", "T=3", "T=x", "T=x is not an integer >= 1"),
+        ("manifest.txt", "T=3", "T=-1", "T=-1 is not an integer >= 1"),
+        ("manifest.txt", "T=3", "T=0", "T=0 is not an integer >= 1"),
+        ("manifest.txt", "T=3", "T=3,1", "T=3,1 is not an integer >= 1"),
+        ("manifest.txt", "seed=0", "seed=x", "seed=x is not an integer"),
+        ("manifest.txt", "dims=4,3", "dims=4", "dims=4 is not two positive integers"),
+        ("manifest.txt", "dims=4,3", "dims=4,x", "dims=4,x is not two positive integers"),
+        ("manifest.txt", "dims=4,3", "dims=4,0", "dims=4,0 is not two positive integers"),
+        ("manifest.txt", "kind=gaussian-matrix", "kind=gaussian-tensor",
+         "dims=4,3 is not three or more positive integers for gaussian-tensor"),
+        ("t0001.txt", None, "1 2 3\n", "holds 3 value(s), not the 4 x 3 of a slice"),
+        ("t0001.txt", None, "1 2 x\n", "unreadable slice file"),
+        ("m0002.txt", None, "1 1\n1 1\n", "holds 4 value(s), not the 4 x 3 of a mask"),
+        ("m0002.txt", None, "1 1 1\n1 ? 1\n", "unreadable mask file"),
+    ],
+)
+def test_load_dataset_errors_name_file_and_key(tmp_path, name, old, new, message):
+    # case1 n=4, p=3, T=3 with a mask.  Before, each of these gave numpy's
+    # bare message ("invalid literal for int()", "negative dimensions are
+    # not allowed", "cannot reshape array of size 3 ...") without the file.
+    data = gen_case1(4, 3, 3, seed=1)
+    obs = ObservationSet("gaussian-matrix", data.observations.values, np.ones((3, 4, 3)))
+    ds = save_dataset(tmp_path / "ds", obs)
+    path = ds / name
+    path.write_text(path.read_text().replace(old, new) if old else new)
+    with pytest.raises(ValueError, match=re.escape(message)) as err:
+        load_dataset(ds)
+    assert str(path) in str(err.value)
 
 
 def test_missing_mask_file(tmp_path):

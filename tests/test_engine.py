@@ -4,7 +4,7 @@ import pytest
 from scipy.special import gammaln
 
 from fusionshrink import engine as engine_module
-from fusionshrink import simulate as simulate_module
+from fusionshrink import likelihoods as likelihoods_module
 from fusionshrink.chain import all_expected_transition_sq, chain_entropy, smooth_core
 from fusionshrink.cli import main as cli_main
 from fusionshrink.engine import (
@@ -61,6 +61,7 @@ def mode_from_means(mean):
     nt = (n, max(T - 1, 1))
     return ModeState(
         mean=mean,
+        second=mean[..., :, None] * mean[..., None, :],
         cov=np.zeros((n, T, d, d)),
         cross=np.zeros((n, T - 1, d, d)),
         lambda2=InverseGammaQ(np.full(nt, 0.5), np.ones(nt)),
@@ -217,12 +218,12 @@ def test_gaussian_mode_update_equals_subject_by_subject(kind, prior):
                 rho0, rho = single._chain_rhos(m, i)
                 mean, cov, cross = smooth_core(rho0, rho, P, h)
                 st.mean[i], st.cov[i], st.cross[i] = mean, cov, cross
-                single.second[m][i] = engine_module._second_from(mean, cov)
+                single.modes[m].second[i] = engine_module._second_from(mean, cov)
                 single._update_scales(m, i)
         a, b = batched.modes[m], single.modes[m]
         for name in ("mean", "cov", "cross"):
             assert rel_err(getattr(a, name), getattr(b, name)) <= 1e-10, (m, name)
-        assert rel_err(batched.second[m], single.second[m]) <= 1e-10
+        assert rel_err(batched.modes[m].second, single.modes[m].second) <= 1e-10
         for name in ("lambda2", "eta", "tau2", "tau_aux", "sigma0"):
             for field_name in ("shape", "rate"):
                 got = getattr(getattr(a, name), field_name)
@@ -243,7 +244,7 @@ def update_mode_reference(eng, m):
             rho0, rho = eng._chain_rhos(m, rows)
             mean, cov, cross = smooth_core(rho0, rho, P, h)
             st.mean[rows], st.cov[rows], st.cross[rows] = mean, cov, cross
-            eng.second[m][rows] = engine_module._second_from(mean, cov)
+            eng.modes[m].second[rows] = engine_module._second_from(mean, cov)
             eng._update_scales(m, rows)
 
 
@@ -252,7 +253,7 @@ def engine_arrays(eng):
     out = {}
     for m, st in enumerate(eng.modes):
         out[f"mean{m}"], out[f"cov{m}"], out[f"cross{m}"] = st.mean, st.cov, st.cross
-        out[f"second{m}"] = eng.second[m]
+        out[f"second{m}"] = eng.modes[m].second
         for name in ("lambda2", "eta", "tau2", "tau_aux", "sigma0"):
             q = getattr(st, name)
             out[f"{name}{m}.shape"], out[f"{name}{m}.rate"] = q.shape, q.rate
@@ -330,7 +331,7 @@ def elbo_reference(eng):
     d = cfg.d
     if eng.kind == "bernoulli-network":
         iu = np.triu_indices(eng.sizes[0], k=1)
-        mom = eng._moments(0)
+        mom = eng.modes[0]
         xi, a = eng.aux.xi, eng.aux.curv  # packed over i < j
         inner = pair_products(mom.mean)[:, iu[0], iu[1]]
         pair_sq = pair_products(mom.second)[:, iu[0], iu[1]]
@@ -352,7 +353,7 @@ def elbo_reference(eng):
     else:
         noise = eng.aux.noise
         n_obs = eng.obs.count_observed()
-        sse = expected_sse(eng.obs, [eng._moments(k) for k in range(len(eng.sizes))])
+        sse = expected_sse(eng.obs, eng.modes)
         e_log_s2 = float(noise.mean_log)
         e_inv_s2 = float(noise.mean_inverse)
         total = -0.5 * cfg.alpha * (
@@ -611,7 +612,7 @@ def test_predict_stack_equals_per_time_slices(case):
         slices = []
         for t in range(obs.horizon):
             u = result.modes[0].mean[:, t]
-            probs = engine_module._sigmoid(b + u @ u.T)
+            probs = likelihoods_module.sigmoid(b + u @ u.T)
             np.fill_diagonal(probs, 0.0)
             slices.append(probs)
         np.testing.assert_array_equal(stack, np.swapaxes(stack, 1, 2))
@@ -802,7 +803,7 @@ def fresh_network_auc(eng):
     iu = np.triu_indices(n, k=1)
     u = np.swapaxes(eng.modes[0].mean, 0, 1)
     b = eng.aux.intercept.mean if eng.aux.intercept is not None else 0.0
-    scores = engine_module._sigmoid(b + u @ np.swapaxes(u, 1, 2))[:, iu[0], iu[1]]
+    scores = likelihoods_module.sigmoid(b + u @ np.swapaxes(u, 1, 2))[:, iu[0], iu[1]]
     labels = eng.obs.values[:, iu[0], iu[1]]
     keep = np.ones(scores.shape, bool)
     if eng.obs.mask is not None:
@@ -851,11 +852,11 @@ def test_sigmoid_matches_masked_formula_bit_for_bit():
         [edges, rng.standard_normal(5000) * 10.0, rng.uniform(-40.0, 40.0, 5000)]
     )
     with np.errstate(over="raise", divide="raise", invalid="raise"):
-        got = engine_module._sigmoid(grid)  # exp(-800) may only underflow
+        got = likelihoods_module.sigmoid(grid)  # exp(-800) may only underflow
     ref = old_sigmoid(grid)
     assert got.tobytes() == ref.tobytes()
     shaped = grid[:10_000].reshape(10, 40, 25)
-    assert engine_module._sigmoid(shaped).tobytes() == old_sigmoid(shaped).tobytes()
+    assert likelihoods_module.sigmoid(shaped).tobytes() == old_sigmoid(shaped).tobytes()
 
 
 @pytest.mark.parametrize("scenario", ["case2", "cluster", "two-movers"])
@@ -869,7 +870,7 @@ def test_simulated_networks_unchanged_by_branch_free_sigmoid(
         return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
     current = write(tmp_path / "current")
-    monkeypatch.setattr(simulate_module, "_sigmoid", old_sigmoid)
+    monkeypatch.setattr(likelihoods_module, "sigmoid", old_sigmoid)
     assert write(tmp_path / "old") == current
 
 

@@ -1,10 +1,27 @@
-"""The package's import surface: every exported name resolves, and importing
-stays light (no scipy module it uses only lazily), as does fitting."""
+"""The package's import surface: every exported name resolves, importing
+stays light (no scipy module it uses only lazily), as does fitting, and the
+simulators do not depend on the fitting engine."""
+import ast
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import fusionshrink
+
+
+def test_simulate_imports_nothing_from_engine():
+    # Read from the source, so that no import made elsewhere in the package
+    # hides the dependency: the simulators take the link from likelihoods.
+    source = Path(fusionshrink.__file__).with_name("simulate.py").read_text()
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            names += [base] + [f"{base}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+    assert [n for n in names if "engine" in n.split(".")] == []
 
 
 def test_import_loads_neither_scipy_stats_nor_optimize():

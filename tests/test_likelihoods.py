@@ -95,6 +95,20 @@ def test_observation_set_rejects_non_finite(kind, shape, bad):
         ObservationSet(kind=kind, values=values, mask=mask)
 
 
+@pytest.mark.parametrize("kind, shape", [
+    ("gaussian-matrix", (0, 3, 3)),
+    ("gaussian-matrix", (4, 0, 3)),
+    ("gaussian-matrix", (4, 3, 0)),
+    ("gaussian-tensor", (2, 3, 0, 2)),
+    ("bernoulli-network", (2, 0, 0)),
+])
+def test_observation_set_rejects_empty_axis(kind, shape):
+    # Before, (0, 3, 3) reached `fit` and failed there with numpy's
+    # "negative dimensions are not allowed".
+    with pytest.raises(ValueError, match=re.escape(f"no empty axis, got shape {shape}")):
+        ObservationSet(kind=kind, values=np.zeros(shape))
+
+
 def test_count_observed():
     obs = ObservationSet(kind="gaussian-matrix", values=np.zeros((2, 3, 4)))
     assert obs.count_observed() == 24.0
