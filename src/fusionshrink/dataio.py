@@ -115,7 +115,10 @@ def _parse_manifest(path: Path) -> tuple[str, tuple[int, ...], int, int, bool]:
         seed = int(entries.get("seed", "0"))
     except ValueError:
         raise ValueError(f"{path}: seed={entries['seed']} is not an integer") from None
-    return kind, dims, T, seed, entries.get("has_mask", "0") == "1"
+    has_mask = entries.get("has_mask", "0")
+    if has_mask not in ("0", "1"):
+        raise ValueError(f"{path}: has_mask={has_mask} is not 0 or 1")
+    return kind, dims, T, seed, has_mask == "1"
 
 
 def _read_slice(path: Path, what: str, shape: tuple[int, int]) -> np.ndarray:

@@ -82,27 +82,82 @@ def row_normalize(X: np.ndarray) -> np.ndarray:
     return X / safe
 
 
-def _kmeans_pp_centers(
-    X: np.ndarray, k: int, rng: np.random.Generator
-) -> np.ndarray:
-    """k-means++ seeds (Arthur & Vassilvitskii, SODA 2007).  A weighted
-    draw is the one `rng.choice(n, p=d2 / total)` makes: the first index
-    whose normalised cumulative weight exceeds `rng.random()`."""
+def _sq_dist(X: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Squared distances (..., m, n) from centers C (..., m, p) to the rows
+    of X (n, p), with the bits of `((X - c) ** 2).sum(axis=1)`.  numpy sums
+    fewer than 8 columns in order, so those are added column by column."""
+    if X.shape[1] >= 8:  # an unrolled pairwise sum
+        return ((X - C[..., None, :]) ** 2).sum(axis=-1)
+    d2 = (X[:, 0] - C[..., :1]) ** 2
+    for q in range(1, X.shape[1]):
+        d2 += (X[:, q] - C[..., q : q + 1]) ** 2
+    return d2
+
+
+def _pp_draw(d2: np.ndarray, total: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The k-means++ weighted draws (Arthur & Vassilvitskii, SODA 2007) of
+    the rows of d2 (..., n) with positive sums `total` (..., 1) and
+    uniforms u (...): each is the index `rng.choice(n, p=d2 / total)`
+    draws for u, the count of normalised cumulative weights <= u, which is
+    `searchsorted(u, "right")` on that non-decreasing cdf."""
+    cdf = (d2 / total).cumsum(axis=-1)
+    cdf /= cdf[..., -1:]
+    return (cdf <= u[..., None]).sum(axis=-1)
+
+
+def _kmeans_pp_batched(
+    X: np.ndarray, k: int, restarts: int, seed: int
+) -> np.ndarray | None:
+    """The k-means++ seeds of all restarts as (restarts, k) row indices,
+    drawn together from a `Philox(seed)` stream, or None if a restart
+    meets a zero total weight.
+
+    Each restart reads `rng.integers(n)` and then `rng.random(k - 1)` (the
+    values of k - 1 scalar draws) before any pick, the stream order of
+    `_kmeans_pp_loop` as long as no total is zero."""
     n = X.shape[0]
-    centers = np.empty((k, X.shape[1]))
-    first = int(rng.integers(n))
-    centers[0] = X[first]
-    d2 = ((X - centers[0]) ** 2).sum(axis=1)
+    rng = np.random.Generator(np.random.Philox(seed))
+    picks = np.empty((restarts, k), dtype=np.intp)
+    u = np.empty((restarts, k - 1))
+    for r in range(restarts):
+        picks[r, 0] = rng.integers(n)
+        u[r] = rng.random(k - 1)
+    d2 = _sq_dist(X, X[picks[:, 0]])
     for j in range(1, k):
-        total = d2.sum()
-        if total == 0:
-            centers[j] = X[int(rng.integers(n))]
-            continue
-        cdf = (d2 / total).cumsum()
-        cdf /= cdf[-1]
-        centers[j] = X[int(cdf.searchsorted(rng.random(), "right"))]
-        d2 = np.minimum(d2, ((X - centers[j]) ** 2).sum(axis=1))
-    return centers
+        total = d2.sum(axis=1, keepdims=True)
+        if not total.all():
+            return None
+        picks[:, j] = _pp_draw(d2, total, u[:, j - 1])
+        d2 = np.minimum(d2, _sq_dist(X, X[picks[:, j]]))
+    return picks
+
+
+def _kmeans_pp_loop(X: np.ndarray, k: int, restarts: int, seed: int) -> np.ndarray:
+    """The k-means++ seeds as (restarts, k) row indices, one restart after
+    another from a `Philox(seed)` stream: where the weights sum to zero
+    (fewer distinct rows than seeds, or squared differences that
+    underflow) the next seed is a uniform `rng.integers(n)` draw in place
+    of the weighted one."""
+    n = X.shape[0]
+    rng = np.random.Generator(np.random.Philox(seed))
+    picks = np.empty((restarts, k), dtype=np.intp)
+    for r in range(restarts):
+        picks[r, 0] = rng.integers(n)
+        d2 = _sq_dist(X, X[picks[r, 0]])
+        for j in range(1, k):
+            total = d2.sum(keepdims=True)
+            if total == 0:
+                picks[r, j] = rng.integers(n)
+                continue
+            picks[r, j] = _pp_draw(d2, total, np.asarray(rng.random()))
+            d2 = np.minimum(d2, _sq_dist(X, X[picks[r, j]]))
+    return picks
+
+
+# The term numpy's sum starts from: -0.0 if it starts from the first term,
+# 0.0 if from the identity (as numpy 2.4 does).  Adding rows to it in order
+# gives the bits of `rows.sum(axis=0)` for two or more columns.
+_SUM_START = np.array([-0.0]).sum()
 
 
 def _farthest_movable(labels: np.ndarray, cost: np.ndarray, k: int) -> int:
@@ -128,12 +183,22 @@ def kmeans_rows(
     among the clusters of two or more members, so every cluster is
     nonempty in the result.
 
-    The restarts are seeded one after another from one RNG stream; their
-    Lloyd iterations then run together as arrays over the runs that have
-    not yet stopped, each run with its own stop test.  A center is the
-    mean of its members summed as `X[members].sum(axis=0)` sums them: in
-    row order for two or more columns, where the other rows add -0.0, which
-    changes no sum.  So each run gives the bits of running it alone.
+    The rows of X must be finite.  All restarts are seeded together from
+    one `Philox(seed)` stream: each restart's draws, `rng.integers(n)` and
+    then `rng.random(k - 1)`, are read in restart order before any pick,
+    and the j-th seeds of all restarts are picked at once.  Where the
+    weights of some restart sum to zero (X has fewer than k distinct rows,
+    or squared differences underflow), a uniform draw replaces the weighted
+    one, so the draws depend on the data: the seeding is then redone from
+    a fresh stream one restart after another (`_kmeans_pp_loop`).
+
+    The Lloyd iterations of all restarts run as arrays over the runs that
+    have not yet stopped, each run with its own stop test, on a
+    (runs, k, n) table of squared distances: the seeds' table starts them,
+    and each iteration's inertia table is the next one's.  A center sums
+    its members in row order from numpy's starting term, as
+    `X[members].sum(axis=0)` does for two or more columns.  So each run
+    gives the bits of running it alone.
     """
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
@@ -141,41 +206,47 @@ def kmeans_rows(
         raise ValueError("need 1 <= k <= number of rows")
     if restarts < 1 or iters < 1:
         raise ValueError("restarts and iters must be >= 1")
-    rng = np.random.Generator(np.random.Philox(seed))
-    centers = np.stack([_kmeans_pp_centers(X, k, rng) for _ in range(restarts)])
+    if not np.isfinite(X).all():
+        raise ValueError("k-means rows must be finite")
+    picks = _kmeans_pp_batched(X, k, restarts, seed)
+    if picks is None:
+        picks = _kmeans_pp_loop(X, k, restarts, seed)
+    centers = X[picks]
+    d2 = _sq_dist(X, centers)  # (runs, k, n)
     labels = np.empty((restarts, n), dtype=np.intp)
     inertia = np.empty(restarts)
     prev_inertia = np.full(restarts, np.inf)
     runs = np.arange(restarts)
-    clusters = np.arange(k)[:, None]
     for _ in range(iters):
         if not runs.size:
             break
-        d2 = ((X[:, None, :] - centers[runs, None, :, :]) ** 2).sum(axis=3)
-        lab = np.argmin(d2, axis=2)
-        point_cost = np.take_along_axis(d2, lab[:, :, None], axis=2)[:, :, 0]
-        members = lab[:, None, :] == clusters  # (runs, k, n)
-        for r in np.flatnonzero(~members.any(axis=2).all(axis=1)):
-            for j in range(k):
-                if not np.any(lab[r] == j):
-                    far = _farthest_movable(lab[r], point_cost[r], k)
-                    lab[r, far] = j
-                    point_cost[r, far] = 0.0
-            members[r] = lab[r] == clusters
+        lab = np.argmin(d2, axis=1)
+        slots = lab + np.arange(0, runs.size * k, k)[:, None]  # (run, cluster) flat
+        sizes = np.bincount(slots.ravel(), minlength=runs.size * k).reshape(-1, k)
+        for r in np.flatnonzero((sizes == 0).any(axis=1)):
+            point_cost = d2[r].min(axis=0)
+            for j in np.flatnonzero(sizes[r] == 0):
+                far = _farthest_movable(lab[r], point_cost, k)
+                lab[r, far] = j
+                point_cost[far] = 0.0
+            sizes[r] = np.bincount(lab[r], minlength=k)
+            slots[r] = lab[r] + r * k
         if X.shape[1] > 1:
-            sums = np.where(members[..., None], X, -0.0).sum(axis=2)
-        else:  # numpy sums one column pairwise, which padding would regroup
-            sums = np.array([[X[m].sum(axis=0) for m in run] for run in members])
-        centers[runs] = sums / members.sum(axis=2)[..., None]
-        d2 = ((X[:, None, :] - centers[runs, None, :, :]) ** 2).sum(axis=3)
+            sums = np.full((runs.size * k, X.shape[1]), _SUM_START)
+            np.add.at(sums, slots.T, X[:, None, :])  # one row at a time, in order
+            sums = sums.reshape(-1, k, X.shape[1])
+        else:  # numpy sums one column pairwise
+            sums = np.array([[X[row == j].sum(axis=0) for j in range(k)] for row in lab])
+        centers[runs] = sums / sizes[..., None]
+        d2 = _sq_dist(X, centers[runs])
         labels[runs] = lab
-        cost = np.take_along_axis(d2, lab[:, :, None], axis=2)[:, :, 0]
+        cost = np.take_along_axis(d2, lab[:, None, :], axis=1)[:, 0]
         inertia[runs] = cost.sum(axis=1)
         prev, now = prev_inertia[runs], inertia[runs]
         with np.errstate(invalid="ignore"):  # tol = 0 times the first inf
             stop = prev - now <= tol * np.maximum(prev, 1.0)
         prev_inertia[runs] = now
-        runs = runs[~stop]
+        runs, d2 = runs[~stop], d2[~stop]
     best = 0
     for r in range(1, restarts):  # the first strict minimum, NaN never after
         if inertia[r] < inertia[best]:

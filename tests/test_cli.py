@@ -137,6 +137,19 @@ def test_fit_bad_manifest_names_file_and_key(tmp_path, capsys):
     assert "is not two positive integers" in err
 
 
+def test_fit_bad_has_mask_exits_2(tmp_path, capsys):
+    # Before, any has_mask other than 1 loaded as "no mask" and fitted the
+    # masked cells as data.
+    data = simulate_small(tmp_path)
+    manifest = data / "manifest.txt"
+    manifest.write_text(manifest.read_text().replace("has_mask=0", "has_mask=yes"))
+    out = tmp_path / "o"
+    rc = run_cli("fit", "--data", str(data), "--out", str(out))
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {manifest}: has_mask=yes is not 0 or 1\n"
+    assert not out.exists()
+
+
 def test_fit_non_finite_data_exits_2(tmp_path, capsys):
     data = simulate_small(tmp_path)
     slice_path = data / "t0001.txt"
@@ -273,6 +286,24 @@ def test_postprocess_bad_kmeans_writes_nothing(tmp_path, capsys):
         assert rc == 2
         assert capsys.readouterr().err == "error: need 1 <= k <= number of rows\n"
         assert not list(out.glob("post_m*.txt")) and not (out / "labels.txt").exists()
+
+
+def test_postprocess_non_finite_factors_kmeans_writes_nothing(tmp_path, capsys):
+    data = simulate_small(tmp_path)
+    fit_dir = tmp_path / "fit"
+    assert run_cli(
+        "fit", "--data", str(data), "--max-cycles", "1", "--out", str(fit_dir)
+    ) == 0
+    factor = fit_dir / "mean_m0.txt"
+    values = np.loadtxt(factor)
+    values[1, 0] = np.nan
+    np.savetxt(factor, values)
+    capsys.readouterr()
+    out = tmp_path / "post"
+    rc = run_cli("postprocess", "--fit", str(fit_dir), "--kmeans", "2", "--out", str(out))
+    assert rc == 2
+    assert capsys.readouterr().err == "error: k-means rows must be finite\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

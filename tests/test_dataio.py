@@ -29,6 +29,14 @@ def test_matrix_roundtrip(tmp_path):
     assert loaded.mask is None
 
 
+def test_manifest_without_has_mask_is_unmasked(tmp_path):
+    obs = ObservationSet("gaussian-matrix", np.ones((2, 3, 3)), np.ones((2, 3, 3)))
+    manifest = save_dataset(tmp_path / "ds", obs) / "manifest.txt"
+    manifest.write_text(manifest.read_text().replace("has_mask=1\n", ""))
+    loaded, _ = load_dataset(tmp_path / "ds")
+    assert loaded.mask is None
+
+
 def test_masked_roundtrip(tmp_path):
     rng = np.random.default_rng(1)
     Y = rng.standard_normal((2, 3, 3))
@@ -140,6 +148,7 @@ def test_manifest_validation(tmp_path):
         ("manifest.txt", "T=3", "T=0", "T=0 is not an integer >= 1"),
         ("manifest.txt", "T=3", "T=3,1", "T=3,1 is not an integer >= 1"),
         ("manifest.txt", "seed=0", "seed=x", "seed=x is not an integer"),
+        ("manifest.txt", "has_mask=1", "has_mask=yes", "has_mask=yes is not 0 or 1"),
         ("manifest.txt", "dims=4,3", "dims=4", "dims=4 is not two positive integers"),
         ("manifest.txt", "dims=4,3", "dims=4,x", "dims=4,x is not two positive integers"),
         ("manifest.txt", "dims=4,3", "dims=4,0", "dims=4,0 is not two positive integers"),

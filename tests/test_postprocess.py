@@ -3,7 +3,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from fusionshrink import postprocess
 from fusionshrink.postprocess import (
     align_modes,
     kmeans_rows,
@@ -205,6 +207,16 @@ def test_kmeans_deterministic_and_validates():
             kmeans_rows(X, 3, **bad)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_kmeans_rejects_non_finite_rows(bad):
+    # Before, one NaN or inf gave a NaN center, inertia nan and arbitrary
+    # labels.
+    X = np.random.default_rng(13).standard_normal((10, 2))
+    X[4, 1] = bad
+    with pytest.raises(ValueError, match="rows must be finite"):
+        kmeans_rows(X, 3)
+
+
 def test_kmeans_fills_empty_clusters():
     X = np.zeros((6, 2))
     labels, _, _ = kmeans_rows(X, 2, seed=0)
@@ -306,11 +318,26 @@ def test_kmeans_pp_draw_is_generator_choice():
         n = int(rng.integers(1, 50))
         w = rng.random(n) * (rng.random(n) < 0.7)
         w[rng.integers(n)] += 1e-3
-        probs = w / w.sum()
-        cdf = probs.cumsum()
-        cdf /= cdf[-1]
-        assert int(cdf.searchsorted(b.random(), "right")) == int(a.choice(n, p=probs))
+        total = w.sum(keepdims=True)
+        pick = postprocess._pp_draw(w, total, np.asarray(b.random()))
+        assert int(pick) == int(a.choice(n, p=w / total))
     assert a.random() == b.random()
+
+
+def test_kmeans_pp_draw_counts_like_searchsorted_right():
+    # Rows drawn at once, with ties: zero weights repeat a cdf value, and
+    # half the uniforms equal a value of their row's cdf.
+    rng = np.random.default_rng(15)
+    w = rng.random((200, 12)) * (rng.random((200, 12)) < 0.6)
+    w[:, 0] += 1e-3
+    total = w.sum(axis=1, keepdims=True)
+    cdf = (w / total).cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    u = rng.random(200)
+    tie = rng.random(200) < 0.5
+    u[tie] = cdf[tie, rng.integers(12, size=tie.sum())]
+    want = [cdf[r].searchsorted(u[r], "right") for r in range(200)]
+    np.testing.assert_array_equal(postprocess._pp_draw(w, total, u), want)
 
 
 @pytest.mark.parametrize(
@@ -341,6 +368,71 @@ def test_kmeans_equals_restart_loop_bit_for_bit(case):
         np.testing.assert_array_equal(got[0], want[0])
         assert got[1].tobytes() == want[1].tobytes()
         assert got[2] == want[2]
+
+
+def assert_same_bits(got, want):
+    np.testing.assert_array_equal(got[0], want[0])
+    assert got[1].tobytes() == want[1].tobytes()
+    assert got[2] == want[2]
+
+
+@st.composite
+def kmeans_cases(draw):
+    """Rows on a coarse grid (so duplicates occur, and -0.0) with k up to
+    min(n, 6)."""
+    n = draw(st.integers(1, 300))
+    p = draw(st.sampled_from([1, 2, 3, 9]))
+    levels = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.integers(levels, size=(n, p)) * rng.choice([-0.5, 0.5], size=(n, p))
+    k = draw(st.integers(1, min(n, 6)))
+    restarts = draw(st.integers(1, 10))
+    tol = draw(st.sampled_from([1e-8, 0.0]))
+    return X, k, restarts, tol, draw(st.integers(0, 1000))
+
+
+@settings(max_examples=200, deadline=None)
+@given(kmeans_cases())
+def test_kmeans_property_bit_for_bit(case):
+    """n > 128 takes numpy's recursive pairwise row sums, p = 9 its
+    unrolled column sum, few grid levels the per-restart seeding."""
+    X, k, restarts, tol, seed = case
+    assert_same_bits(
+        kmeans_rows(X, k, restarts=restarts, tol=tol, seed=seed),
+        kmeans_rows_reference(X, k, restarts=restarts, tol=tol, seed=seed),
+    )
+
+
+def count_seeding_loops(monkeypatch):
+    calls = []
+    loop = postprocess._kmeans_pp_loop
+
+    def counted(*args):
+        calls.append(args)
+        return loop(*args)
+
+    monkeypatch.setattr(postprocess, "_kmeans_pp_loop", counted)
+    return calls
+
+
+def test_kmeans_underflowing_distances_take_the_restart_loop(monkeypatch):
+    # (1.5e-162)^2 underflows to 0 but (3e-162)^2 does not, so zero
+    # distances are not transitive: whatever the first seed, every weight
+    # is 0 before the third, though X holds three distinct rows.
+    X = np.repeat([[0.0], [1.5e-162], [3e-162]], [4, 3, 5], axis=0)
+    calls = count_seeding_loops(monkeypatch)
+    for seed in range(5):
+        got = kmeans_rows(X, 3, seed=seed)
+        assert_same_bits(got, kmeans_rows_reference(X, 3, seed=seed))
+    assert len(calls) == 5
+
+
+def test_kmeans_distinct_rows_seed_all_restarts_together(monkeypatch):
+    calls = count_seeding_loops(monkeypatch)
+    X = row_normalize(np.random.default_rng(14).standard_normal((40, 2)))
+    for seed in range(5):
+        assert_same_bits(kmeans_rows(X, 4, seed=seed), kmeans_rows_reference(X, 4, seed=seed))
+    assert calls == []
 
 
 # ----- label metrics ----------------------------------------------------------------
